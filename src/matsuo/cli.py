@@ -22,16 +22,18 @@ import time
 from fractions import Fraction
 
 from . import __version__, autos
-from .algebra import AlgebraError, MatsuoAlgebra
+from .algebra import AlgebraError, BadEta, MatsuoAlgebra
 from .deriv import (
     LinearEndo,
     derivation_basis,
     is_derivation,
+    r_relations,
+    require_eta_half,
     satisfies_r_system,
     spans_agree,
     vanishing_report,
 )
-from .fields import BadDescriptor, Field, FieldError, parse_field, sqrt_in_field
+from .fields import BadDescriptor, DivisionByZero, Field, FieldError, parse_field, sqrt_in_field
 from .fischer import space_of
 from .roots import parse_root_system
 from .transpo import CATALOG, parse_group
@@ -59,8 +61,8 @@ def _positive_threads() -> int:
 def _parse_eta(field: Field, text: str):
     try:
         return field.coerce(Fraction(text))
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"cannot parse eta {text!r}: {e}")
+    except (ValueError, ZeroDivisionError, DivisionByZero) as e:
+        raise UsageError(f"cannot read eta {text!r} in {field}: {e}")
 
 
 def _build_algebra(group_desc: str, field_desc: str, eta_text: str) -> MatsuoAlgebra:
@@ -126,9 +128,12 @@ def cmd_build(args) -> tuple[dict, list[dict]]:
 def cmd_derive(args) -> tuple[dict, list[dict]]:
     A = _build_algebra(args.group, args.field, args.eta)
     systems = ("leibniz", "r") if args.system == "both" else (args.system,)
-    bases = {}
-    for s in systems:
-        bases[s] = derivation_basis(A, system=s)
+    if "r" in systems:
+        try:
+            require_eta_half(A)
+        except BadEta as e:
+            raise UsageError(f"{e}; use --system leibniz for eta = {args.eta}")
+    bases = {s: derivation_basis(A, system=s) for s in systems}
     results = {"dimension": {s: len(b) for s, b in bases.items()}}
     passed = True
     if len(bases) == 2:
@@ -213,13 +218,14 @@ def _suite_equivalence(field: Field, groups, rng: random.Random, trials: int, le
         b2 = derivation_basis(A, system="r")
         ok = len(b1) == len(b2) and spans_agree(A, b1, b2)
         detail = {"leibniz": len(b1), "r": len(b2)}
+        rows = list(r_relations(A.fs))
         for _ in range(trials):
             cols = [
                 {b: field.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), 3)}
                 for _ in range(A.dim)
             ]
             d = LinearEndo(A.dim, [{b: v for b, v in c.items() if not field.is_zero(v)} for c in cols])
-            if satisfies_r_system(A, d) != is_derivation(A, d):
+            if satisfies_r_system(A, d, rows) != is_derivation(A, d):
                 ok = False
                 detail["random_map_disagreement"] = True
                 break

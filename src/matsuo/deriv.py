@@ -4,12 +4,18 @@ Two routes to the same nullspace: the generic Leibniz linearisation (any
 eta), and the sparse relation system specific to eta = 1/2.  Unknowns are
 the coefficients d(a)_b, indexed column-major as a * dim + b (a the argument
 point, b the image coordinate).
+
+Over Q both are solved modulo the prime MODULUS and certified exactly over Q,
+with the solve over Q as the fallback (see `_lifted_basis`).
 """
 
 from __future__ import annotations
 
 from .algebra import BadEta, MatsuoAlgebra
-from .linalg import Echelon, nullspace as _nullspace
+from .fields import DivisionByZero, PrimeField, Rationals
+from .linalg import Echelon, dot, nullspace as _nullspace, rational_lift
+
+MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
 
 
 class LinearEndo:
@@ -118,52 +124,44 @@ def build_leibniz_system(A: MatsuoAlgebra) -> list[dict]:
     return rows
 
 
-def build_r_system(A: MatsuoAlgebra, include_r7: bool = True) -> list[dict]:
+def r_relations(fs, include_r7: bool = True):
     """The seven relation families characterising derivations at eta = 1/2.
 
-    `include_r7` exists to measure how much the non-planar family (R7)
-    contributes beyond (R1)-(R6).
+    Yields integer rows {unknown: coefficient}, each coefficient +-1 or 2,
+    so nonzero in every odd characteristic.  No row names an unknown twice:
+    (R5)-(R7) draw on the distinct images of a, b and a^b, and in (R4)
+    c^a^b = c would put b on the line through c and a.  `include_r7` exists
+    to measure how much the non-planar family (R7) contributes beyond
+    (R1)-(R6).
     """
-    F = A.field
-    half = F.div(F.one_raw(), F.coerce(2))
-    if A.eta != half:
-        raise BadEta("the relation system is specific to eta = 1/2")
-    n = A.dim
-    fs = A.fs
+    n = fs.n
     third = fs.third
-    one = F.one_raw()
-    two = F.coerce(2)
-    neg1 = F.neg(one)
-    rows = []
 
     def coll(i, j):
         return third[i][j] >= 0
 
     for a in range(n):
         # (R1)
-        rows.append({a * n + a: one})
+        yield {a * n + a: 1}
         for b in range(n):
             if b == a:
                 continue
             if coll(a, b):
                 # (R2)
-                rows.append({a * n + b: one, a * n + third[a][b]: one})
+                yield {a * n + b: 1, a * n + third[a][b]: 1}
             else:
                 # (R3)
-                rows.append({a * n + b: one})
+                yield {a * n + b: 1}
 
     for a in range(n):
         for b in range(a + 1, n):
-            if coll(a, b) or a == b:
+            if coll(a, b):
                 continue
             # (R4): a perp b, c a common neighbour
             for c in range(n):
                 if coll(a, c) and coll(b, c):
                     cab = third[third[c][a]][b]
-                    row: dict = {}
-                    for u in (a * n + c, b * n + c, a * n + cab, b * n + cab):
-                        row[u] = F.add(row.get(u, F.zero_raw()), one)
-                    rows.append({u: v for u, v in row.items() if not F.is_zero(v)})
+                    yield {a * n + c: 1, b * n + c: 1, a * n + cab: 1, b * n + cab: 1}
 
     for a in range(n):
         for b in range(n):
@@ -173,55 +171,43 @@ def build_r_system(A: MatsuoAlgebra, include_r7: bool = True) -> list[dict]:
             # (R5): d(a^b)_e = d(a)_e + d(b)_{e^a} for a noncommuting with b, e and b perp e
             for e in range(n):
                 if e != b and coll(a, e) and not coll(b, e) and e != a:
-                    row = {ab * n + e: one}
-                    for u, s in ((a * n + e, neg1), (b * n + third[e][a], neg1)):
-                        cur = row.get(u, F.zero_raw())
-                        row[u] = F.add(cur, s)
-                    rows.append({u: v for u, v in row.items() if not F.is_zero(v)})
+                    yield {ab * n + e: 1, a * n + e: -1, b * n + third[e][a]: -1}
             # (R6): e noncommuting with a, b and a^b
             for e in range(n):
                 if e in (a, b, ab):
                     continue
                 if coll(a, e) and coll(b, e) and coll(ab, e):
-                    row = {ab * n + e: one}
-                    for u in (a * n + third[e][b], b * n + third[e][a]):
-                        row[u] = F.add(row.get(u, F.zero_raw()), neg1)
-                    rows.append({u: v for u, v in row.items() if not F.is_zero(v)})
+                    yield {ab * n + e: 1, a * n + third[e][b]: -1, b * n + third[e][a]: -1}
             # (R7): 2 d(b)_a + d(a)_b + d(a^b)_a - sum_{a perp e, b noncommuting e} d(b)_e
-            if not include_r7:
-                continue
-            row = {}
-
-            def add(u, v):
-                cur = row.get(u, F.zero_raw())
-                nv = F.add(cur, v)
-                if F.is_zero(nv):
-                    row.pop(u, None)
-                else:
-                    row[u] = nv
-
-            add(b * n + a, two)
-            add(a * n + b, one)
-            add(ab * n + a, one)
-            for e in range(n):
-                if e == a or coll(a, e):
-                    continue  # e must commute with a, e != a
-                if coll(b, e):
-                    add(b * n + e, neg1)
-            rows.append(row)
-    return rows
+            if include_r7:
+                row = {b * n + a: 2, a * n + b: 1, ab * n + a: 1}
+                for e in range(n):
+                    if e != a and not coll(a, e) and coll(b, e):  # e commutes with a, e != a
+                        row[b * n + e] = -1
+                yield row
 
 
-def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo) -> bool:
+def require_eta_half(A: MatsuoAlgebra) -> None:
+    """Raise BadEta unless A has eta = 1/2, where (R1)-(R7) apply."""
+    F = A.field
+    if A.eta != F.div(F.one_raw(), F.coerce(2)):
+        raise BadEta("the relation system is specific to eta = 1/2")
+
+
+def build_r_system(A: MatsuoAlgebra, include_r7: bool = True) -> list[dict]:
+    """The rows of `r_relations` over the field of A."""
+    require_eta_half(A)
+    coerce = A.field.coerce
+    return [{u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs, include_r7)]
+
+
+def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo, rows=None) -> bool:
+    """Whether d satisfies (R1)-(R7); `rows` may hold `r_relations(A.fs)` built once."""
+    require_eta_half(A)
     F = A.field
     vec = d.to_vector()
-    for row in build_r_system(A):
-        acc = F.zero_raw()
-        for u, v in row.items():
-            w = vec.get(u)
-            if w is not None:
-                acc = F.add(acc, F.mul(v, w))
-        if not F.is_zero(acc):
+    for row in r_relations(A.fs) if rows is None else rows:
+        if not F.is_zero(dot({u: F.coerce(c) for u, c in row.items()}, vec, F)):
             return False
     return True
 
@@ -232,14 +218,54 @@ def nullspace_endos(A: MatsuoAlgebra, rows) -> list[LinearEndo]:
     return [LinearEndo.from_vector(n, v) for v in vecs]
 
 
+def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
+    return build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
+
+
 def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
-    if system == "leibniz":
-        rows = build_leibniz_system(A)
-    elif system == "r":
-        rows = build_r_system(A)
-    else:
+    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms."""
+    if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
-    return nullspace_endos(A, rows)
+    if system == "r":
+        require_eta_half(A)
+    if isinstance(A.field, Rationals):
+        basis = _lifted_basis(A, system)
+        if basis is not None:
+            return basis
+    return nullspace_endos(A, _build_system(A, system))
+
+
+def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
+    """The basis over Q found modulo MODULUS and checked exactly, or None.
+
+    The nullspace over F_p is lifted entrywise by rational reconstruction.
+    The k lifted vectors are independent, as each is 1 on its own free column
+    and 0 on the others.  If each also solves the system over Q, they span
+    its nullspace, since rank_p <= rank_Q bounds nullity_Q by k.
+    """
+    Fp = PrimeField(MODULUS)
+    try:
+        Ap = MatsuoAlgebra(A.fs, A.eta, Fp)
+    except (BadEta, DivisionByZero):  # eta is 0 or 1 mod p, or p divides its denominator
+        return None
+    n = A.dim
+    basis = []
+    for vec in _nullspace(_build_system(Ap, system), n * n, Fp):
+        lifted = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
+        if None in lifted.values():
+            return None
+        basis.append(LinearEndo.from_vector(n, lifted))
+    if system == "leibniz":
+        certified = all(is_derivation(A, d) for d in basis)
+    else:
+        vecs = [d.to_vector() for d in basis]
+        certified = not any(
+            sum(c * x[u] for u, c in row.items() if u in x)
+            for row in r_relations(A.fs)
+            for x in vecs
+            if not x.keys().isdisjoint(row)
+        )
+    return basis if certified else None
 
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:

@@ -30,12 +30,12 @@ class BadDescriptor(FieldError):
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^64, the bound `PrimeField` enforces."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin for 64-bit range
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -217,6 +217,8 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if p == 2:
             raise BadDescriptor("characteristic 2 is not supported")
+        if p >= 1 << 64:
+            raise BadDescriptor(f"{p} is not below 2^64, where primality is decided")
         if not _is_prime(p):
             raise BadDescriptor(f"{p} is not prime")
         self.p = p

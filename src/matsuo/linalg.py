@@ -8,7 +8,9 @@ is small; rows are fed shortest-first to limit fill-in.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from fractions import Fraction
 
 from .fields import Field
 
@@ -26,16 +28,18 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        """Residual of a row modulo the current row space."""
+        """Residual of a row modulo the current row space.
+
+        Pivot rows are fully reduced, so one pass over the row's own pivot
+        columns, each with its original coefficient, leaves the residual.
+        """
         F = self.field
+        pivots = self.pivots
         row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        while True:
-            hit = next((c for c in row if c in self.pivots), None)
-            if hit is None:
-                return row
-            coeff = row.pop(hit)
-            for c, v in self.pivots[hit].items():
-                if c == hit:
+        for p in [c for c in row if c in pivots]:
+            coeff = row.pop(p)
+            for c, v in pivots[p].items():
+                if c == p:
                     continue
                 cur = row.get(c)
                 nv = F.sub(cur, F.mul(coeff, v)) if cur is not None else F.neg(F.mul(coeff, v))
@@ -43,6 +47,7 @@ class Echelon:
                     row.pop(c, None)
                 else:
                     row[c] = nv
+        return row
 
     def insert(self, row: dict) -> bool:
         """Add a row; returns True if it enlarged the row space."""
@@ -117,6 +122,21 @@ def in_span(vectors, target: dict, field: Field) -> bool:
 
 def independent_count(vectors, field: Field) -> int:
     return rank(vectors, field)
+
+
+def rational_lift(a: int, p: int) -> Fraction | None:
+    """The fraction n/d = a mod p with |n|, d <= sqrt(p/2), unique if any, or None.
+
+    Wang's rational reconstruction: extended Euclid on (p, a) down to the bound.
+    """
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def dot(row: dict, vec: dict, field: Field):

@@ -108,6 +108,22 @@ def test_usage_errors_exit_2(capsys):
     assert run(["no-such-command"], capsys)[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "S4", "--eta", "2"],  # --system both needs eta = 1/2 for (R1)-(R7)
+        ["derive", "S4", "--eta", "1/3", "--system", "r"],
+        ["build", "S4", "--field", "F3", "--eta", "1/3"],  # 1/3 has no image in F3
+        ["build", "S4", "--field", "F318665857834031151167461"],  # composite, above 2^64
+    ],
+)
+def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reports_byte_identical_across_runs(capsys):
     argv = ["verify", "torus", "--type", "A2", "--field", "F13", "--seed", "3", "--trials", "2", "--json"]
     _, out1, _ = run(argv, capsys)

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
+from matsuo import deriv
 from matsuo.algebra import BadEta, build_matsuo
 from matsuo.deriv import (
+    MODULUS,
     LinearEndo,
     build_leibniz_system,
     build_r_system,
@@ -15,13 +18,14 @@ from matsuo.deriv import (
     is_derivation,
     leibniz_residual,
     nullspace_endos,
+    r_relations,
     satisfies_r_system,
     spans_agree,
     vanishing_report,
 )
 from matsuo.fields import PrimeField, Rationals
 from matsuo.fischer import space_of
-from matsuo.linalg import rank
+from matsuo.linalg import rank, rational_lift
 from matsuo.transpo import CATALOG, parse_group
 
 Q = Rationals()
@@ -60,11 +64,11 @@ def test_symmetric_dims_match_orthogonal_lie_algebra():
 
 
 def _sympy_nullity(rows, ncols):
-    m = sympy.zeros(len(rows), ncols)
+    m = [[QQ(0)] * ncols for _ in rows]
     for r, row in enumerate(rows):
         for c, v in row.items():
-            m[r, c] = v
-    return ncols - m.rank()
+            m[r][c] = QQ.convert(v)
+    return ncols - DomainMatrix(m, (len(rows), ncols), QQ).rank()
 
 
 @pytest.mark.parametrize("desc", ["S3", "S4", "W:A2", "3W:A1", "3W:A2", "M3:2"])
@@ -89,6 +93,7 @@ def test_random_maps_satisfy_r_iff_derivation(desc):
     A = _alg(desc)
     rng = random.Random(11)
     basis = derivation_basis(A, system="leibniz")
+    rows = list(r_relations(A.fs))
     for trial in range(20):
         cols = [
             {
@@ -104,6 +109,7 @@ def test_random_maps_satisfy_r_iff_derivation(desc):
             cols = [A.add(c, d) for c, d in zip(cols, d0.cols)] if trial % 6 else d0.cols
         d = LinearEndo(A.dim, cols)
         assert satisfies_r_system(A, d) == is_derivation(A, d)
+        assert satisfies_r_system(A, d, rows) == satisfies_r_system(A, d)
 
 
 def test_negative_controls():
@@ -203,6 +209,10 @@ def test_r_system_requires_eta_half():
     A = build_matsuo(space_of(parse_group("S3")), Fraction(1, 3), Q)
     with pytest.raises(BadEta):
         build_r_system(A)
+    # 1/2 + p is 1/2 mod p, but the relations still do not apply over Q
+    A = build_matsuo(space_of(parse_group("S3")), Fraction(1, 2) + MODULUS, Q)
+    with pytest.raises(BadEta):
+        derivation_basis(A, system="r")
 
 
 def test_r7_redundancy_rank_report():
@@ -220,3 +230,56 @@ def test_direct_sum_derivations_embed_blockwise():
     S = A.direct_sum(A)
     dims = len(derivation_basis(S, system="leibniz"))
     assert dims >= 2 * DIMS["S3"]
+
+
+def _entries(basis):
+    return [d.cols for d in basis]
+
+
+def _exact(A, system):
+    build = build_leibniz_system if system == "leibniz" else build_r_system
+    return nullspace_endos(A, build(A))
+
+
+@pytest.mark.parametrize("system", ["leibniz", "r"])
+@pytest.mark.parametrize("desc", CATALOG)
+def test_lifted_basis_equals_exact_solve_over_q(desc, system):
+    A = _alg(desc)
+    assert deriv._lifted_basis(A, system) is not None  # the modular route answered
+    assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
+
+
+@pytest.mark.parametrize("eta", [Fraction(1, 3), Fraction(1, 4), Fraction(-1)])
+@pytest.mark.parametrize("desc", ["S4", "S5", "W:A3", "3W:A2", "M3:2"])
+def test_lifted_leibniz_basis_at_other_eta(desc, eta):
+    A = build_matsuo(space_of(parse_group(desc)), eta, Q)
+    assert deriv._lifted_basis(A, "leibniz") is not None
+    assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
+
+
+@pytest.mark.parametrize("eta", [Fraction(2**61), Fraction(1, MODULUS)])
+def test_eta_without_image_mod_p_falls_back(eta):
+    # 2^61 is 1 mod p, and p divides the denominator of 1/p
+    A = build_matsuo(space_of(parse_group("S4")), eta, Q)
+    assert deriv._lifted_basis(A, "leibniz") is None
+    assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [lambda a, p: rational_lift(a, p) + 1, lambda a, p: None],
+    ids=["wrong", "none"],
+)
+@pytest.mark.parametrize("system", ["leibniz", "r"])
+def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
+    A = _alg("S4")  # dim 3, with entries such as -7/6
+    exact = _exact(A, system)
+    monkeypatch.setattr(deriv, "rational_lift", lift)
+    assert deriv._lifted_basis(A, system) is None
+    assert _entries(derivation_basis(A, system)) == _entries(exact)
+
+
+def test_r_relations_have_small_integer_coefficients():
+    for desc in ("S5", "3W:A3", "M3:3"):
+        coeffs = {v for row in r_relations(_alg(desc).fs) for v in row.values()}
+        assert coeffs <= {-2, -1, 1, 2}

@@ -69,6 +69,19 @@ def test_prime_field_rejects_two_and_composites():
         PrimeField(91)  # 7 * 13
 
 
+def test_prime_field_bounds_moduli_to_64_bits():
+    # psi_12: a strong pseudoprime to each of the first 12 prime bases
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    with pytest.raises(BadDescriptor):
+        PrimeField(psi12)
+    with pytest.raises(BadDescriptor):
+        parse_field(f"F{psi12}")
+    assert parse_field("F2305843009213693951") == PrimeField(2**61 - 1)
+    with pytest.raises(BadDescriptor):
+        PrimeField((2**61 - 1) * 7)
+
+
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(MixedFields):
         Q(1) + F7(1)

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from matsuo.fields import PrimeField, Rationals
-from matsuo.linalg import Echelon, dot, in_span, nullspace, rank
+from matsuo.linalg import Echelon, dot, in_span, nullspace, rank, rational_lift
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -101,3 +101,40 @@ def test_in_span_closed_under_combination(coeffs):
             combo[k] = combo.get(k, Fraction(0)) + c * v
     combo = {k: v for k, v in combo.items() if v}
     assert in_span([v1, v2], combo, Q)
+
+
+def test_reduce_gives_the_residual_in_every_field():
+    """One pass leaves no pivot column, and the residual is row - sum c_p * pivot row."""
+    rng = random.Random(4)
+    for field in (Q, F7):
+        ech = Echelon(field)
+        for row in _random_rows(rng, 6, 10):
+            ech.insert({c: field.coerce(v.numerator) for c, v in row.items()})
+        for row in _random_rows(rng, 10, 10):
+            row = {c: field.coerce(v.numerator) for c, v in row.items()}
+            res = ech.reduce(row)
+            assert not set(res) & set(ech.pivots)
+            expect = dict(row)
+            for p in set(row) & set(ech.pivots):
+                for c, v in ech.pivots[p].items():
+                    expect[c] = field.sub(expect.get(c, field.zero_raw()), field.mul(row[p], v))
+            assert res == {c: v for c, v in expect.items() if not field.is_zero(v)}
+
+
+P61 = 2**61 - 1
+
+
+@given(st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+def test_rational_lift_recovers_small_fractions(num, den):
+    q = Fraction(num, den)
+    image = q.numerator * pow(q.denominator, -1, P61) % P61
+    assert rational_lift(image, P61) == q
+
+
+def test_rational_lift_refuses_beyond_the_bound():
+    assert rational_lift(0, P61) == 0
+    assert rational_lift(P61 - 1, P61) == -1
+    big = Fraction(2**40 + 1, 3)  # numerator above sqrt(p/2), about 2^30
+    assert rational_lift(big.numerator * pow(3, -1, P61) % P61, P61) != big
+    # a residue with no fraction of both parts within the bound
+    assert rational_lift(1234567890123456789, P61) is None
