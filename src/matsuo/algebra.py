@@ -6,7 +6,7 @@ import json
 
 from .fields import Field, FieldElement, field_name
 from .fischer import FischerSpace
-from .linalg import Echelon, nullspace
+from .linalg import Echelon, axpy, nullspace
 
 
 class AlgebraError(Exception):
@@ -57,10 +57,6 @@ class SparseAlgebra:
     def basis_element(self, i: int) -> dict:
         return {i: self.field.one_raw()}
 
-    def element(self, coeffs: dict) -> dict:
-        F = self.field
-        return {i: F.coerce(v) for i, v in coeffs.items() if not F.is_zero(F.coerce(v))}
-
     def basis_product(self, i: int, j: int) -> dict:
         return self.products.get((i, j) if i <= j else (j, i), {})
 
@@ -70,29 +66,12 @@ class SparseAlgebra:
         for i, xi in x.items():
             for j, yj in y.items():
                 prod = self.basis_product(i, j)
-                if not prod:
-                    continue
-                c = F.mul(xi, yj)
-                for k, s in prod.items():
-                    cur = out.get(k)
-                    nv = F.add(cur, F.mul(c, s)) if cur is not None else F.mul(c, s)
-                    if F.is_zero(nv):
-                        out.pop(k, None)
-                    else:
-                        out[k] = nv
+                if prod:
+                    axpy(out, F.mul(xi, yj), prod, F)
         return out
 
     def add(self, x: dict, y: dict) -> dict:
-        F = self.field
-        out = dict(x)
-        for i, v in y.items():
-            cur = out.get(i)
-            nv = F.add(cur, v) if cur is not None else v
-            if F.is_zero(nv):
-                out.pop(i, None)
-            else:
-                out[i] = nv
-        return out
+        return axpy(dict(x), self.field.one_raw(), y, self.field)
 
     def scale(self, c, x: dict) -> dict:
         F = self.field
@@ -101,7 +80,8 @@ class SparseAlgebra:
         return {i: F.mul(c, v) for i, v in x.items()}
 
     def sub(self, x: dict, y: dict) -> dict:
-        return self.add(x, self.scale(self.field.neg(self.field.one_raw()), y))
+        F = self.field
+        return axpy(dict(x), F.neg(F.one_raw()), y, F)
 
 
 class MatsuoAlgebra(SparseAlgebra):
@@ -154,16 +134,7 @@ class MatsuoAlgebra(SparseAlgebra):
         rows = self.mult_matrix(a)
 
         def shifted(lam):
-            out = []
-            for c in range(self.dim):
-                row = dict(rows[c])
-                cur = row.get(c)
-                nv = F.sub(cur, lam) if cur is not None else F.neg(lam)
-                if F.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-                out.append(row)
+            out = [axpy(dict(rows[c]), F.neg(lam), {c: F.one_raw()}, F) for c in range(self.dim)]
             return [r for r in out if r]
 
         ker0 = nullspace(shifted(F.zero_raw()), self.dim, F)

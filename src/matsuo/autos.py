@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra import BadCharacteristic, MatsuoAlgebra, SparseAlgebra
 from .deriv import LinearEndo
 from .fields import Field, sqrt_in_field
-from .linalg import Echelon
+from .linalg import axpy, rank
 from .roots import RootSystem
 
 
@@ -138,9 +138,6 @@ class ModelB(SparseAlgebra):
             out[3 * r + 2] = ny
         return out
 
-    def unit_index(self, r: int) -> int:
-        return 3 * r
-
     def bilinear_form(self, r: int):
         """The Gram matrix entries of b on (x_r, y_r): ((9/2, 0), (0, 9/2))."""
         F = self.field
@@ -157,28 +154,19 @@ def build_model_b(rs: RootSystem, field: Field) -> ModelB:
 
 def is_multiplicative(src, dst, image_cols: list[dict]) -> tuple[bool, tuple | None]:
     """Check f(u v) = f(u) f(v) on all basis pairs for a linear map src -> dst."""
-    F = src.field
-
-    def f(vec):
-        out: dict = {}
-        for i, c in vec.items():
-            out = dst.add(out, dst.scale(c, image_cols[i]))
-        return out
-
+    F = dst.field
+    f = LinearEndo(src.dim, image_cols)
+    minus_one = F.neg(F.one_raw())
     for i in range(src.dim):
         for j in range(i, src.dim):
-            lhs = f(src.basis_product(i, j))
-            rhs = dst.multiply(image_cols[i], image_cols[j])
-            if dst.sub(lhs, rhs):
+            lhs = f.apply(dst, src.basis_product(i, j))
+            if axpy(lhs, minus_one, dst.multiply(image_cols[i], image_cols[j]), F):
                 return False, (i, j)
     return True, None
 
 
 def is_bijective(field: Field, image_cols: list[dict], dim: int) -> bool:
-    ech = Echelon(field)
-    for col in image_cols:
-        ech.insert(col)
-    return ech.rank == dim
+    return rank(image_cols, field) == dim
 
 
 def verify_automorphism(A, endo: LinearEndo) -> None:
@@ -407,27 +395,18 @@ class ZeroSumJordan:
             j * n + i: F.neg(half),
         }
 
-    def jordan_product(self, x: dict, y: dict) -> dict:
+    def multiply(self, x: dict, y: dict) -> dict:
+        """The Jordan product (xy + yx) / 2."""
         F = self.field
         n = self.n
-        out: dict = {}
-        for k1, v1 in x.items():
-            r1, c1 = divmod(k1, n)
-            for k2, v2 in y.items():
-                r2, c2 = divmod(k2, n)
-                val = F.mul(v1, v2)
-                for (r, c, ok) in ((r1, c2, c1 == r2), (r2, c1, c2 == r1)):
-                    if not ok:
-                        continue
-                    key = r * n + c
-                    cur = out.get(key)
-                    nv = F.add(cur, val) if cur is not None else val
-                    if F.is_zero(nv):
-                        out.pop(key, None)
-                    else:
-                        out[key] = nv
         half = F.div(F.one_raw(), F.coerce(2))
-        return {k: F.mul(half, v) for k, v in out.items()}
+        out: dict = {}
+        for u, v in ((x, y), (y, x)):
+            for k, w in u.items():
+                r, c = divmod(k, n)  # u_rc e_rc . v = u_rc sum_m v_cm e_rm
+                row_c = {r * n + m % n: z for m, z in v.items() if m // n == c}
+                axpy(out, F.mul(half, w), row_c, F)
+        return out
 
     def is_zero_sum_symmetric(self, x: dict) -> bool:
         F = self.field
@@ -454,34 +433,12 @@ def symmetric_model_iso(M: MatsuoAlgebra, verify: bool = True) -> tuple[ZeroSumJ
     Z = ZeroSumJordan(n, M.field)
     cols = [Z.transposition_image(*p) for p in fs.payloads]
     if verify:
-        F = M.field
         for col in cols:
             if not Z.is_zero_sum_symmetric(col):
                 raise VerificationFailure("image leaves the zero-sum symmetric space")
-        for i in range(M.dim):
-            for j in range(i, M.dim):
-                lhs: dict = {}
-                for k, c in M.basis_product(i, j).items():
-                    for key, v in cols[k].items():
-                        cur = lhs.get(key)
-                        nv = F.add(cur, F.mul(c, v)) if cur is not None else F.mul(c, v)
-                        if F.is_zero(nv):
-                            lhs.pop(key, None)
-                        else:
-                            lhs[key] = nv
-                rhs = Z.jordan_product(cols[i], cols[j])
-                diff = dict(lhs)
-                for k, v in rhs.items():
-                    cur = diff.get(k)
-                    nv = F.sub(cur, v) if cur is not None else F.neg(v)
-                    if F.is_zero(nv):
-                        diff.pop(k, None)
-                    else:
-                        diff[k] = nv
-                if diff:
-                    raise VerificationFailure(
-                        f"matrix model not multiplicative at pair {(i, j)}"
-                    )
+        ok, pair = is_multiplicative(M, Z, cols)
+        if not ok:
+            raise VerificationFailure(f"matrix model not multiplicative at pair {pair}")
         if not is_bijective(M.field, cols, M.dim):
             raise VerificationFailure("matrix model map is not injective")
     return Z, cols

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import BadEta, MatsuoAlgebra
 from .fields import DivisionByZero, PrimeField, Rationals
-from .linalg import Echelon, dot, nullspace as _nullspace, rational_lift
+from .linalg import axpy, dot, nullspace as _nullspace, rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
 
@@ -50,10 +50,11 @@ class LinearEndo:
         """Coefficient d(a)_b."""
         return self.cols[a].get(b)
 
-    def apply(self, A: MatsuoAlgebra, x: dict) -> dict:
+    def apply(self, A, x: dict) -> dict:
+        """The image of x; A is any algebra over the field of the images."""
         out: dict = {}
         for a, xa in x.items():
-            out = A.add(out, A.scale(xa, self.cols[a]))
+            axpy(out, xa, self.cols[a], A.field)
         return out
 
     def compose(self, A: MatsuoAlgebra, other: "LinearEndo") -> "LinearEndo":
@@ -68,15 +69,16 @@ class LinearEndo:
 
 def leibniz_residual(A: MatsuoAlgebra, d: LinearEndo) -> dict:
     """Residuals d(ab) - d(a)b - a d(b) over all unordered basis pairs."""
+    F = A.field
+    minus_one = F.neg(F.one_raw())
     bad = {}
     for a in range(A.dim):
         ea = A.basis_element(a)
         for b in range(a, A.dim):
             eb = A.basis_element(b)
-            res = A.sub(
-                d.apply(A, A.basis_product(a, b)),
-                A.add(A.multiply(d.cols[a], eb), A.multiply(ea, d.cols[b])),
-            )
+            res = d.apply(A, A.basis_product(a, b))
+            axpy(res, minus_one, A.multiply(d.cols[a], eb), F)
+            axpy(res, minus_one, A.multiply(ea, d.cols[b]), F)
             if res:
                 bad[(a, b)] = res
     return bad
@@ -90,36 +92,27 @@ def build_leibniz_system(A: MatsuoAlgebra) -> list[dict]:
     """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule."""
     F = A.field
     n = A.dim
+    minus_one = F.neg(F.one_raw())
     rows = []
     for a in range(n):
         for b in range(a, n):
-            ab = A.basis_product(a, b)
             # coordinate c of d(a)b + a d(b) - d(ab):
             #   sum_y (y*b)_c u[a,y] + sum_y (a*y)_c u[b,y] - sum_x (ab)_x u[x,c]
+            # the two sums name disjoint unknowns unless a = b, where they coincide
             byc: dict[int, dict] = {}
-
-            def acc(c, unknown, v):
-                row = byc.setdefault(c, {})
-                cur = row.get(unknown)
-                nv = F.add(cur, v) if cur is not None else v
-                if F.is_zero(nv):
-                    row.pop(unknown, None)
-                else:
-                    row[unknown] = nv
-
             for y in range(n):
                 for c, v in A.basis_product(y, b).items():
-                    acc(c, a * n + y, v)
+                    byc.setdefault(c, {})[a * n + y] = v
                 if a != b:
                     for c, v in A.basis_product(a, y).items():
-                        acc(c, b * n + y, v)
+                        byc.setdefault(c, {})[b * n + y] = v
             if a == b:
-                # d(a)a + a d(a) counts the same sum twice
-                for c in list(byc):
+                for c in byc:
                     byc[c] = {u: F.add(v, v) for u, v in byc[c].items()}
-            for x, w in ab.items():
+            ab = A.basis_product(a, b)
+            if ab:
                 for c in range(n):
-                    acc(c, x * n + c, F.neg(w))
+                    axpy(byc.setdefault(c, {}), minus_one, {x * n + c: w for x, w in ab.items()}, F)
             rows.extend(r for r in byc.values() if r)
     return rows
 
@@ -270,15 +263,10 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:
     """Mutual span containment of two endo families (as coefficient vectors)."""
-    F = A.field
-    e1, e2 = Echelon(F), Echelon(F)
-    for d in basis1:
-        e1.insert(d.to_vector())
-    for d in basis2:
-        e2.insert(d.to_vector())
-    return all(e2.contains(d.to_vector()) for d in basis1) and all(
-        e1.contains(d.to_vector()) for d in basis2
-    )
+    v1 = [d.to_vector() for d in basis1]
+    v2 = [d.to_vector() for d in basis2]
+    r = rank(v1 + v2, A.field)
+    return rank(v1, A.field) == r == rank(v2, A.field)
 
 
 def vanishing_report(A: MatsuoAlgebra, basis: list[LinearEndo]) -> dict:

@@ -186,7 +186,7 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("1/0 in Q")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def is_zero(self, a):
         return a == 0
@@ -328,9 +328,6 @@ class QuadraticExtension(Field):
 
     def one_raw(self):
         return (self.base.one_raw(), self.base.zero_raw())
-
-    def sqrt_gen(self) -> FieldElement:
-        return FieldElement(self, (self.base.zero_raw(), self.base.one_raw()))
 
     def add(self, a, b):
         return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the package's fields.
 
-Rows and vectors are dicts {column: raw field value}.  The eliminator keeps a
-fully reduced echelon basis (each pivot row mentions its pivot column and
-non-pivot columns only), which keeps rows short whenever the solution space
-is small; rows are fed shortest-first to limit fill-in.
+Rows and vectors are dicts {column: raw field value}, and `axpy` is the one
+routine that adds a multiple of one into another and drops what cancels.
+The eliminator keeps each pivot in solved form: `solved[p]` writes x_p as a
+combination of free columns only, which keeps the solutions short whenever
+the solution space is small; rows are fed shortest-first to limit fill-in.
 """
 
 from __future__ import annotations
@@ -15,38 +16,49 @@ from fractions import Fraction
 from .fields import Field
 
 
+def axpy(dst: dict, c, src: dict, field: Field) -> dict:
+    """dst += c * src in place, dropping each entry on src's support that comes out zero.
+
+    Returns dst.  Entries of dst off src's support are left as they are.
+    """
+    mul, add, is_zero = field.mul, field.add, field.is_zero
+    for k, v in src.items():
+        nv = mul(c, v)
+        cur = dst.get(k)
+        if cur is not None:
+            nv = add(cur, nv)
+        if is_zero(nv):
+            dst.pop(k, None)
+        else:
+            dst[k] = nv
+    return dst
+
+
 class Echelon:
-    """Incrementally maintained reduced row echelon basis of a row space."""
+    """Incrementally maintained solved form of a row space."""
 
     def __init__(self, field: Field):
         self.field = field
-        self.pivots: dict[int, dict] = {}  # pivot col -> row with row[col] == 1
+        self.solved: dict[int, dict] = {}  # pivot col -> x_p in terms of free cols
         self._occurs: dict[int, set] = defaultdict(set)  # col -> pivot cols using it
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.solved)
 
     def reduce(self, row: dict) -> dict:
-        """Residual of a row modulo the current row space.
+        """Residual of a row modulo the current row space: no pivot column remains.
 
-        Pivot rows are fully reduced, so one pass over the row's own pivot
-        columns, each with its original coefficient, leaves the residual.
+        Solutions name free columns only, so each pivot column of the row is
+        substituted once, with its original coefficient.
         """
         F = self.field
-        pivots = self.pivots
+        solved = self.solved
         row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        for p in [c for c in row if c in pivots]:
-            coeff = row.pop(p)
-            for c, v in pivots[p].items():
-                if c == p:
-                    continue
-                cur = row.get(c)
-                nv = F.sub(cur, F.mul(coeff, v)) if cur is not None else F.neg(F.mul(coeff, v))
-                if F.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+        for p in [c for c in row if c in solved]:
+            c = row.pop(p)
+            if solved[p]:
+                axpy(row, c, solved[p], F)
         return row
 
     def insert(self, row: dict) -> bool:
@@ -55,32 +67,22 @@ class Echelon:
         res = self.reduce(row)
         if not res:
             return False
-        # pivot on the column that disturbs the fewest existing rows
+        # pivot on the column that disturbs the fewest existing solutions
         p = min(res, key=lambda c: (len(self._occurs[c]), c))
-        inv = F.inv(res[p])
-        newrow = {c: F.mul(v, inv) for c, v in res.items()}
-        # back-eliminate p from existing pivot rows
-        for q in list(self._occurs[p]):
-            target = self.pivots[q]
-            coeff = target.pop(p)
-            self._occurs[p].discard(q)
-            for c, v in newrow.items():
-                if c == p:
-                    continue
-                cur = target.get(c)
-                nv = F.sub(cur, F.mul(coeff, v)) if cur is not None else F.neg(F.mul(coeff, v))
-                if F.is_zero(nv):
-                    if cur is not None:
-                        del target[c]
-                        self._occurs[c].discard(q)
+        scale = F.neg(F.inv(res.pop(p)))
+        sol = {c: F.mul(v, scale) for c, v in res.items()}
+        # substitute x_p into the solutions that name it
+        for q in self._occurs.pop(p, ()):
+            target = self.solved[q]
+            axpy(target, target.pop(p), sol, F)
+            for c in sol:
+                if c in target:
+                    self._occurs[c].add(q)
                 else:
-                    if cur is None:
-                        self._occurs[c].add(q)
-                    target[c] = nv
-        self.pivots[p] = newrow
-        for c in newrow:
-            if c != p:
-                self._occurs[c].add(p)
+                    self._occurs[c].discard(q)
+        self.solved[p] = sol
+        for c in sol:
+            self._occurs[c].add(p)
         return True
 
     def contains(self, row: dict) -> bool:
@@ -96,18 +98,18 @@ def rank(rows, field: Field) -> int:
 
 def nullspace(rows, ncols: int, field: Field) -> list[dict]:
     """Basis of {x : row . x = 0 for all rows}, as sparse dicts over ncols columns."""
-    F = field
     ech = Echelon(field)
     for row in sorted(rows, key=len):
         ech.insert(row)
-    free = [c for c in range(ncols) if c not in ech.pivots]
     basis = []
-    for f in free:
-        vec = {f: F.one_raw()}
-        for p, prow in ech.pivots.items():
-            v = prow.get(f)
-            if v is not None and not F.is_zero(v):
-                vec[p] = F.neg(v)
+    for f in range(ncols):
+        if f in ech.solved:
+            continue
+        vec = {f: field.one_raw()}
+        for p, sol in ech.solved.items():
+            v = sol.get(f)
+            if v is not None:
+                vec[p] = v
         basis.append(vec)
     return basis
 
@@ -118,10 +120,6 @@ def in_span(vectors, target: dict, field: Field) -> bool:
     for v in vectors:
         ech.insert(v)
     return ech.contains(target)
-
-
-def independent_count(vectors, field: Field) -> int:
-    return rank(vectors, field)
 
 
 def rational_lift(a: int, p: int) -> Fraction | None:

@@ -70,9 +70,6 @@ class RootSystem:
     def to_positive(self, v):
         return v if self.is_positive(v) else tuple(-c for c in v)
 
-    def index_of(self, alpha) -> int:
-        return self.positive_roots.index(alpha)
-
 
 def build_root_system(type_name: str, rank: int) -> RootSystem:
     edges = _edges(type_name, rank)

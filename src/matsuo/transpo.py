@@ -37,12 +37,6 @@ class TranspoGroup:
     def collinear(self, i: int, j: int) -> bool:
         return i != j and self.conj[i][j] != i
 
-    def third(self, i: int, j: int) -> int:
-        """Third point of the line through two noncommuting points."""
-        if not self.collinear(i, j):
-            raise ValueError("points are not collinear")
-        return self.conj[i][j]
-
     def payload_str(self, i: int) -> str:
         p = self.points[i]
         if self.family == "symmetric":

@@ -271,7 +271,7 @@ def test_zero_sum_jordan_dimension_and_idempotents():
     assert Z.dim == 10
     img = Z.transposition_image(1, 2)
     assert Z.is_zero_sum_symmetric(img)
-    assert Z.jordan_product(img, img) == img  # rank-1 projection
+    assert Z.multiply(img, img) == img  # rank-1 projection
 
 
 @pytest.mark.parametrize("desc,field", [("S4", Q), ("S5", Q), ("S5", PrimeField(13))])
@@ -296,7 +296,7 @@ def test_jordan_products_stay_zero_sum_symmetric():
     imgs = [Z.transposition_image(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     for _ in range(10):
         x, y = rng.choice(imgs), rng.choice(imgs)
-        assert Z.is_zero_sum_symmetric(Z.jordan_product(x, y))
+        assert Z.is_zero_sum_symmetric(Z.multiply(x, y))
 
 
 # -- characters -------------------------------------------------------------------

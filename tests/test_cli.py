@@ -1,5 +1,6 @@
 """CLI contract: reports, exit codes, determinism, output formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -167,3 +168,26 @@ def test_threads_env_validated(monkeypatch, capsys):
     assert run(["build", "S3"], capsys)[0] == EXIT_USAGE
     monkeypatch.setenv("MATSUO_THREADS", "4")
     assert run(["build", "S3"], capsys)[0] == EXIT_OK
+
+
+# sha256 of `derive <group> --field <field> --json`, recorded before the
+# eliminator was rewritten: the emitted basis must stay byte-identical
+DERIVE_GOLDEN = {
+    ("S4", "Q"): "df542251e442d2dc7dc4e259bd9340834324ad8d18c90ce0199dd9e30216e58e",
+    ("S4", "F13"): "5573227bb2ab8bfae9d8e608a5e05d7f654fc0a7efc4a533d13dee936e5f4509",
+    ("W:A3", "Q"): "14f6ebc59ff47fbcc6c6f680b2a2915d926c1c0ed12a402378ef36d0456238fe",
+    ("W:A3", "F13"): "96f0b8d3daf6398084ebd814b29c5910650624eaa9782b24230b52e256caa7fd",
+    ("3W:A2", "Q"): "dc548896f9d796518f1d3c1101a185bc132d4a087323d4b0255b2be6b743d33e",
+    ("3W:A2", "F13"): "f9170119de10c10b2760dc2cf00d2ef26232da4874bc410487b9d1ccdd421a4c",
+    ("3W:D4", "Q"): "999e354f5753228cebbc16c03f8ded848ebd30b7cc14dd47ec77a4ae36c70f58",
+    ("3W:D4", "F13"): "448fa0b953ddfa0adad63245069244b6a16c89e537c26cd38c0333ffc52a2350",
+    ("M3:2", "Q"): "3ddb07d5021a99242afb0b21ff95c0444f72ac92578041235f6340a6d4be3b11",
+    ("M3:2", "F13"): "a90684c2ed84512c21361aa57c335fdc0e2d2343be7881d1ec74db58994b3efe",
+}
+
+
+@pytest.mark.parametrize("group,field", sorted(DERIVE_GOLDEN))
+def test_derive_report_bytes_are_pinned(capsys, group, field):
+    code, out, _ = run(["derive", group, "--field", field, "--json"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_GOLDEN[(group, field)]

@@ -62,6 +62,11 @@ def test_inverse_roundtrip(a):
             assert x * x.inv() == field.one()
 
 
+def test_rational_inverse_of_an_int_stays_exact():
+    assert Q.inv(3) == Fraction(1, 3) and isinstance(Q.inv(3), Fraction)
+    assert Q.div(Fraction(1), 3) == Fraction(1, 3) and isinstance(Q.div(Fraction(1), 3), Fraction)
+
+
 def test_prime_field_rejects_two_and_composites():
     with pytest.raises(BadDescriptor):
         PrimeField(2)

@@ -6,11 +6,12 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from matsuo.fields import PrimeField, Rationals
-from matsuo.linalg import Echelon, dot, in_span, nullspace, rank, rational_lift
+from matsuo.fields import PrimeField, QuadraticExtension, Rationals, sqrt_in_field
+from matsuo.linalg import Echelon, axpy, dot, in_span, nullspace, rank, rational_lift
 
 Q = Rationals()
 F7 = PrimeField(7)
+QS3 = QuadraticExtension(Q, 3)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -79,15 +80,55 @@ def test_echelon_insert_reports_growth():
     assert ech.contains({0: Fraction(3), 1: Fraction(-1)})
 
 
+def _value(field, a, b):
+    """a + b sqrt(3) in Q(sqrt:3), a + 2b in the other fields."""
+    g = sqrt_in_field(field, 3).raw if field is QS3 else field.coerce(2)
+    return field.add(field.coerce(a), field.mul(field.coerce(b), g))
+
+
+_pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_sparse = st.dictionaries(st.integers(0, 5), _pairs, max_size=6)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([Q, F7, QS3]),
+    _sparse,
+    st.one_of(st.just((0, 0)), _pairs),
+    _sparse,
+    st.booleans(),
+)
+def test_axpy_matches_a_dense_reference(field, dst, c, src, cancel):
+    """dst += c * src entrywise; what src touches stays only if nonzero, zeros included."""
+    dst = {k: _value(field, *v) for k, v in dst.items()}
+    src = {k: _value(field, *v) for k, v in src.items()}
+    c = _value(field, *c)
+    if cancel:  # make dst = -c * src on src's support, so every entry cancels
+        dst.update({k: field.neg(field.mul(c, v)) for k, v in src.items()})
+    zero = field.zero_raw()
+    out = dict(dst)
+    assert axpy(out, c, src, field) is out
+    for k in range(6):
+        want = field.add(dst.get(k, zero), field.mul(c, src.get(k, zero)))
+        if k in src:
+            assert (k in out) == (not field.is_zero(want))
+            assert out.get(k, zero) == want
+        else:
+            assert out.get(k) == dst.get(k)
+    if cancel:
+        assert not set(out) & set(src)
+
+
 def test_echelon_rows_stay_fully_reduced():
     rng = random.Random(3)
     ech = Echelon(Q)
     for row in _random_rows(rng, 20, 10):
         ech.insert(row)
-    for p, row in ech.pivots.items():
-        assert row[p] == 1
-        for c in row:
-            assert c == p or c not in ech.pivots
+    for p, sol in ech.solved.items():
+        assert p not in sol
+        for c, v in sol.items():
+            assert v != 0
+            assert c not in ech.solved
 
 
 @settings(max_examples=50)
@@ -104,7 +145,7 @@ def test_in_span_closed_under_combination(coeffs):
 
 
 def test_reduce_gives_the_residual_in_every_field():
-    """One pass leaves no pivot column, and the residual is row - sum c_p * pivot row."""
+    """One pass leaves no pivot column, and the residual is row + sum row[p] * solved[p]."""
     rng = random.Random(4)
     for field in (Q, F7):
         ech = Echelon(field)
@@ -113,11 +154,11 @@ def test_reduce_gives_the_residual_in_every_field():
         for row in _random_rows(rng, 10, 10):
             row = {c: field.coerce(v.numerator) for c, v in row.items()}
             res = ech.reduce(row)
-            assert not set(res) & set(ech.pivots)
-            expect = dict(row)
-            for p in set(row) & set(ech.pivots):
-                for c, v in ech.pivots[p].items():
-                    expect[c] = field.sub(expect.get(c, field.zero_raw()), field.mul(row[p], v))
+            assert not set(res) & set(ech.solved)
+            expect = {c: v for c, v in row.items() if c not in ech.solved}
+            for p in set(row) & set(ech.solved):
+                for c, v in ech.solved[p].items():
+                    expect[c] = field.add(expect.get(c, field.zero_raw()), field.mul(row[p], v))
             assert res == {c: v for c, v in expect.items() if not field.is_zero(v)}
 
 
