@@ -159,15 +159,23 @@ def cmd_derive(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_classify(args) -> tuple[dict, list[dict]]:
+    """Near-solidity of every line, tested on the smallest line of each line orbit
+    and copied to the rest.  Each row's witness type is the representative's
+    first failure: not a theorem, but constant on orbits in every group tested."""
     try:
         g = parse_group(args.group)
     except ValueError as e:
         raise UsageError(str(e))
     fs = space_of(g)
+    verdicts = [None] * len(fs.lines)
+    for orbit in fs.line_orbits():
+        verdict = fs.is_near_solid(fs.lines[orbit[0]])
+        for i in orbit:
+            verdicts[i] = verdict
     rows = []
     near = []
     for i, line in enumerate(fs.lines):
-        ok, witness = fs.is_near_solid(line)
+        ok, witness = verdicts[i]
         row = {
             "line": i,
             "points": " ".join(fs.labels[p] for p in line),
@@ -348,6 +356,8 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
         raise UsageError(f"suite {args.suite!r} needs a field containing sqrt(3)")
     if field.characteristic == 3:
         raise UsageError("verification suites need char k != 3")
+    if args.trials < 0:
+        raise UsageError(f"--trials must be a nonnegative integer, got {args.trials}")
     ledger: list[dict] = []
     suites = {
         "fusion": lambda: _suite_fusion(field, groups, ledger),

@@ -91,8 +91,11 @@ class FischerSpace:
         if not seed:
             raise ValueError("closure needs a nonempty seed")
         cached = self._closure_cache.get(seed)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._closure_cache[seed] = self._close(seed)
+        return cached
+
+    def _close(self, seed: frozenset) -> frozenset:
         elems = list(seed)
         members = set(seed)
         third = self.third
@@ -106,9 +109,7 @@ class FischerSpace:
                     members.add(z)
                     elems.append(z)
             i += 1
-        result = frozenset(members)
-        self._closure_cache[seed] = result
-        return result
+        return frozenset(members)
 
     def component_of(self, subset, start: int) -> frozenset:
         """Connected component of `start` in the collinearity graph on `subset`."""
@@ -180,7 +181,7 @@ class FischerSpace:
         lset = set(line)
         a = line[0]
         for p in comp - lset:
-            sub = self.component_of(self.closure(lset | {p}), a)
+            sub = self.component_of(self._close(lset | {p}), a)
             if len(sub) == 3:
                 continue
             if len(sub) != 9:
@@ -191,19 +192,21 @@ class FischerSpace:
         """Decide near-solidity of a line; on failure return the offending subspace.
 
         Enumerates closures of line + {c, d} over all point pairs and
-        classifies the connected component of the line in each.
+        classifies the connected component of the line in each.  No seed
+        repeats, so these closures bypass the memo.
         """
         line = tuple(sorted(line))
-        if line not in set(map(tuple, self.lines)):
+        in_range = len(line) == 3 and line[0] >= 0 and line[2] < self.n
+        if not in_range or self.third[line[0]][line[1]] != line[2]:
             raise ValueError("not a line of this space")
         lset = frozenset(line)
         a = line[0]
         for c in range(self.n):
-            base = self.closure(lset | {c})
+            base = self._close(lset | {c})
             for d in range(c, self.n):
                 if d in base:
                     continue  # closure is 3-generated or less on top of the line
-                comp = self.component_of(self.closure(lset | {c, d}), a)
+                comp = self.component_of(self._close(lset | {c, d}), a)
                 t = self._component_type(comp)
                 if t.kind in ("ThreeGen", "S5"):
                     continue
@@ -211,6 +214,32 @@ class FischerSpace:
                     continue
                 return False, {"type": str(t), "points": sorted(comp)}
         return True, None
+
+    def line_orbits(self) -> list[list[int]]:
+        """Orbits of lines under the point maps x -> x^a, as sorted lists of
+        indices into `lines`.  x^a is third[a][x], or x when a and x are not
+        collinear; these maps preserve lines and closures."""
+        line_id = [[-1] * self.n for _ in range(self.n)]
+        for i, (x, y, z) in enumerate(self.lines):
+            for p, q in ((x, y), (y, x), (x, z), (z, x), (y, z), (z, y)):
+                line_id[p][q] = i
+        seen = [False] * len(self.lines)
+        orbits = []
+        for start in range(len(self.lines)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            for i in orbit:  # breadth first: the list grows while it is read
+                x, y, _ = self.lines[i]
+                for row in self.third:
+                    u, v = row[x], row[y]
+                    j = line_id[x if u < 0 else u][y if v < 0 else v]
+                    if not seen[j]:
+                        seen[j] = True
+                        orbit.append(j)
+            orbits.append(sorted(orbit))
+        return orbits
 
     def union(self, other: "FischerSpace") -> "FischerSpace":
         """Disjoint union (geometry of a direct product of groups)."""

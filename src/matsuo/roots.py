@@ -57,6 +57,21 @@ class RootSystem:
         m = self.pairing(alpha, beta)
         return tuple(a - m * b for a, b in zip(alpha, beta))
 
+    def positive_reflections(self) -> list[list[tuple[int, int, int]]]:
+        """Entry [i][j] is (m, k, s) with m = <alpha_i, alpha_j^vee> and
+        sigma_{alpha_j}(alpha_i) = s * alpha_k, indices into positive_roots."""
+        roots = self.positive_roots
+        index = {r: k for k, r in enumerate(roots)}
+        c_beta = [[sum(c * b for c, b in zip(row, beta)) for row in self.cartan] for beta in roots]
+        table = [[] for _ in roots]
+        for alpha, row in zip(roots, table):
+            for beta, cb in zip(roots, c_beta):
+                m = sum(a * c for a, c in zip(alpha, cb))
+                gamma = tuple(a - m * b for a, b in zip(alpha, beta))
+                s = 1 if self.is_positive(gamma) else -1
+                row.append((m, index[tuple(s * c for c in gamma)], s))
+        return table
+
     def is_root(self, v) -> bool:
         return v in self._root_set
 

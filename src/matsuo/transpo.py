@@ -74,12 +74,8 @@ def build_symmetric(n: int) -> TranspoGroup:
 
 def build_weyl(rs: RootSystem) -> TranspoGroup:
     """Reflections of a simply laced Weyl group, identified with Phi^+."""
-    points = list(rs.positive_roots)
-
-    def conj(a, b):
-        return rs.to_positive(rs.reflect(a, b))
-
-    return _finish(f"W:{rs.name}", "weyl", points, conj, rs)
+    table = tuple(tuple(k for _, k, _ in row) for row in rs.positive_reflections())
+    return TranspoGroup(f"W:{rs.name}", "weyl", rs.positive_roots, table, rs)
 
 
 def build_affine_weyl(rs: RootSystem) -> TranspoGroup:
@@ -90,25 +86,17 @@ def build_affine_weyl(rs: RootSystem) -> TranspoGroup:
     with the convention (v, g)(w, h) = (v + g.w, gh).  The identification
     (eps*(-alpha), sigma_alpha) = ((-eps)*alpha, sigma_alpha) is applied when
     canonicalising to a positive root.
+
+    With m = <alpha, beta^vee> and sigma_beta(alpha) = s*gamma, gamma positive,
+    (e1, alpha)^(e2, beta) = (s*(e1 - e2*m) mod 3, gamma); point (eps, alpha_k)
+    has index 3k + eps.
     """
-    points = [(eps, alpha) for alpha in rs.positive_roots for eps in (0, 1, 2)]
-
-    def conj(a, b):
-        (e1, alpha), (e2, beta) = a, b
-        v = tuple(e1 * c % 3 for c in alpha)
-        w = tuple(e2 * c % 3 for c in beta)
-        sw = rs.reflect(tuple(e2 * c for c in beta), alpha)
-        inner = tuple((x - y + z) % 3 for x, y, z in zip(v, w, sw))
-        vnew = tuple(c % 3 for c in rs.reflect(inner, beta))
-        # sigma_{-gamma} = sigma_gamma, so the reflection part is carried by the
-        # positive representative and the vector part is matched against it
-        gamma = rs.to_positive(rs.reflect(alpha, beta))
-        for eps in (0, 1, 2):
-            if all((eps * c - x) % 3 == 0 for c, x in zip(gamma, vnew)):
-                return (eps, gamma)
-        raise AssertionError("conjugate did not land on a multiple of the root")
-
-    return _finish(f"3W:{rs.name}", "affine_weyl", points, conj, rs)
+    points = tuple((eps, alpha) for alpha in rs.positive_roots for eps in (0, 1, 2))
+    table = tuple(
+        tuple(3 * k + s * (e1 - e2 * m) % 3 for m, k, s in refl for e2 in (0, 1, 2))
+        for refl in rs.positive_reflections() for e1 in (0, 1, 2)
+    )
+    return TranspoGroup(f"3W:{rs.name}", "affine_weyl", points, table, rs)
 
 
 def build_moufang(n: int) -> TranspoGroup:

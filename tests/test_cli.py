@@ -116,6 +116,7 @@ def test_usage_errors_exit_2(capsys):
         ["derive", "S4", "--eta", "1/3", "--system", "r"],
         ["build", "S4", "--field", "F3", "--eta", "1/3"],  # 1/3 has no image in F3
         ["build", "S4", "--field", "F318665857834031151167461"],  # composite, above 2^64
+        ["verify", "all", "--trials", "-1", "--group", "S3", "--field", "F13"],
     ],
 )
 def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
@@ -191,3 +192,35 @@ def test_derive_report_bytes_are_pinned(capsys, group, field):
     code, out, _ = run(["derive", group, "--field", field, "--json"], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_GOLDEN[(group, field)]
+
+
+# sha256 of `classify-lines <group> --json` and `--csv`, recorded while every
+# line was still tested on its own: the orbit route must not move a byte
+CLASSIFY_GOLDEN = {
+    ("3W:A3", "--json"): "8b56967dbdef8b6a5f473d401a488049c0e7c885023d5c700e9723ea9f6f1a67",
+    ("3W:A3", "--csv"): "a86e8ebc955efbd5031bc8d185d2e42273a4722717da7343e65707eb0717bc2c",
+    ("3W:D4", "--json"): "206ad09270c02838c5c54cef98e2293107952c4ef60b55ed6296e1f584ec9da0",
+    ("3W:D4", "--csv"): "4aca1a5a428bb925a7fe84a97f06dec1c375f203389179b86acd385844e8d6fb",
+    ("M3:3", "--json"): "fc4a4bcc7f18443638ceb532c1de60e4ba3ef9ed6cdf128513c225d9adfd16f9",
+    ("M3:3", "--csv"): "8ed15eb3ddd8e690b9783a768d34f39195870641aa86026104d9ce3d3072772a",
+    ("M3:4", "--json"): "a51e06e9999a82e92f774ac374f6d08315d73158069af8acbe983b15a615723e",
+    ("M3:4", "--csv"): "2ca75b430c5fc5185a23a7a9b52aa5b57addaeab75416ce0070deb5e1d0eef67",
+    ("W:E7", "--json"): "8a63c262313f0c4b472faadde63e719be9cd5838f0fbdd5dbdcb8476d326ef1a",
+    ("W:E7", "--csv"): "80d934a1cfbbbccd78cbc75bba6e478d147d24015e25ecc6c5b5fa876d97f6f1",
+}
+
+
+@pytest.mark.parametrize("group,fmt", sorted(CLASSIFY_GOLDEN))
+def test_classify_report_bytes_are_pinned(capsys, group, fmt):
+    code, out, _ = run(["classify-lines", group, fmt], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN[(group, fmt)]
+
+
+@pytest.mark.parametrize("group,near", [("3W:E6", 36), ("3W:E7", 63)])
+def test_classify_large_affine_weyl_near_solid_lines_are_a_vertical_spread(capsys, group, near):
+    code, doc = run_json(["classify-lines", group], capsys)
+    assert code == EXIT_OK
+    r = doc["results"]
+    assert r["near_solid"] == near and r["vertical_near_solid"] == near
+    assert r["near_solid_lines_form_spread"] is True

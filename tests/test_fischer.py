@@ -161,6 +161,62 @@ def test_small_spaces_have_only_trivially_allowed_lines():
                 assert witness["type"] not in ("S5",), desc
 
 
+def test_is_near_solid_rejects_triples_that_are_not_lines():
+    fs = _space("S4")
+    a, b, c = fs.lines[0]
+    x, y, _ = next(line for line in fs.lines if line[2] == fs.n - 1)
+    for bad in ((a, b), (a, a, b), (a, b, c, c), (x, y, -1), (a, b, fs.n)):
+        with pytest.raises(ValueError):
+            fs.is_near_solid(bad)
+    noncollinear = next((x, y) for x in range(fs.n) for y in range(x + 1, fs.n)
+                        if not fs.collinear(x, y))
+    with pytest.raises(ValueError):
+        fs.is_near_solid((*noncollinear, next(z for z in range(fs.n) if z not in noncollinear)))
+    assert fs.is_near_solid((c, a, b)) == fs.is_near_solid(fs.lines[0])
+
+
+def _point_map(fs, a, line):
+    """The line {x^a : x in line}, where x^a = x when x is not collinear with a."""
+    return tuple(sorted(x if fs.third[a][x] < 0 else fs.third[a][x] for x in line))
+
+
+@pytest.mark.parametrize("desc", CATALOG + ("M3:4", "W:E7"))
+def test_line_orbits_decide_near_solidity(desc):
+    """Orbit oracle: the orbits partition the lines, each is closed under every
+    point map, and the first line's verdict and witness type are those of
+    every line in its orbit."""
+    fs = _space(desc)
+    orbits = fs.line_orbits()
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(len(fs.lines)))
+    for orbit in orbits:
+        assert orbit == sorted(orbit)
+        members = {fs.lines[i] for i in orbit}
+        for line in members:
+            for a in range(fs.n):
+                assert _point_map(fs, a, line) in members
+        ok, witness = fs.is_near_solid(fs.lines[orbit[0]])
+        for i in orbit:
+            ok_i, witness_i = fs.is_near_solid(fs.lines[i])
+            assert ok_i == ok
+            assert (witness_i is None) == (witness is None)
+            if witness is not None:
+                assert witness_i["type"] == witness["type"], (desc, fs.lines[i])
+
+
+@pytest.mark.parametrize(
+    "desc,sizes",
+    [("3W:D4", [12, 144]), ("3W:E6", [36, 1080]), ("W:E7", [336]), ("S7", [35])],
+)
+def test_line_orbit_sizes(desc, sizes):
+    assert [len(o) for o in _space(desc).line_orbits()] == sizes
+
+
+def test_moufang_m3_4_has_forty_line_orbits():
+    # G = 3^4:2 is much smaller than AGL(4,3), so the 1,080 lines split
+    orbits = _space("M3:4").line_orbits()
+    assert len(orbits) == 40 and sum(map(len, orbits)) == 1080
+
+
 def test_closure_memoization_consistency():
     fs = _space("3W:A3")
     seed = frozenset(fs.lines[0])

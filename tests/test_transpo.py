@@ -114,6 +114,43 @@ def test_weyl_commuting_iff_orthogonal():
                 assert (g.order(i, j) == 2) == (rs.pairing(a, b) == 0)
 
 
+def _reflection_conj_tables(rs):
+    """Conjugation tables of W and 3^n:W by reflecting vectors: the reference
+    for the closed-form tables of `build_weyl` and `build_affine_weyl`."""
+    roots = list(rs.positive_roots)
+
+    def weyl(a, b):
+        return rs.to_positive(rs.reflect(a, b))
+
+    def affine(a, b):
+        (e1, alpha), (e2, beta) = a, b
+        v = tuple(e1 * c % 3 for c in alpha)
+        w = tuple(e2 * c % 3 for c in beta)
+        sw = rs.reflect(tuple(e2 * c for c in beta), alpha)
+        inner = tuple((x - y + z) % 3 for x, y, z in zip(v, w, sw))
+        vnew = tuple(c % 3 for c in rs.reflect(inner, beta))
+        gamma = rs.to_positive(rs.reflect(alpha, beta))
+        (eps,) = [
+            e for e in (0, 1, 2) if all((e * c - x) % 3 == 0 for c, x in zip(gamma, vnew))
+        ]
+        return (eps, gamma)
+
+    def table(points, conj):
+        index = {p: i for i, p in enumerate(points)}
+        return tuple(tuple(index[conj(a, b)] for b in points) for a in points)
+
+    points = [(eps, alpha) for alpha in roots for eps in (0, 1, 2)]
+    return table(roots, weyl), table(points, affine)
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "D4", "D5", "E6"])
+def test_closed_form_tables_match_vector_reflections(t):
+    rs = parse_root_system(t)
+    weyl, affine = _reflection_conj_tables(rs)
+    assert build_weyl(rs).conj == weyl
+    assert build_affine_weyl(rs).conj == affine
+
+
 def _noncommuting_pair_orbit(g):
     """Orbit of one noncommuting ordered pair under all conjugations."""
     n = g.size
