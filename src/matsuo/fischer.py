@@ -192,8 +192,9 @@ class FischerSpace:
         """Decide near-solidity of a line; on failure return the offending subspace.
 
         Enumerates closures of line + {c, d} over all point pairs and
-        classifies the connected component of the line in each.  No seed
-        repeats, so these closures bypass the memo.
+        classifies the connected component of the line in each.  These
+        closures bypass the per-space memo: the seeds line + {c, d} of one
+        call do not repeat.
         """
         line = tuple(sorted(line))
         in_range = len(line) == 3 and line[0] >= 0 and line[2] < self.n
