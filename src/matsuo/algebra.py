@@ -129,8 +129,6 @@ class MatsuoAlgebra(SparseAlgebra):
         if cached is not None:
             return cached
         F = self.field
-        if self.eta == F.one_raw() or F.is_zero(self.eta):
-            raise BadEta("eigenvalues 1, 0, eta must be distinct")
         rows = self.mult_matrix(a)
 
         def shifted(lam):

@@ -64,6 +64,7 @@ class ModelB(SparseAlgebra):
         # in-block Jordan product: v . w = (1/2) b(v, w) 1, so x.x = (9/4) 1
         nine_quarter = F.div(F.coerce(9), F.coerce(4))
         three_q = F.div(F.coerce(3), F.coerce(4))
+        zero = F.zero_raw()
 
         products: dict = {}
 
@@ -98,10 +99,10 @@ class ModelB(SparseAlgebra):
                 if pair < 0:
                     # alpha + beta is a root: the theta-twisted rules
                     g = ridx[tuple(a + b for a, b in zip(alpha, beta))]
-                    put(xa, xb, self._theta(g, {}, F.neg(three_q), +1))
-                    put(xa, yb, self._theta(g, three_q, {}, +1))
-                    put(ya, xb, self._theta(g, three_q, {}, +1))
-                    put(ya, yb, self._theta(g, {}, three_q, +1))
+                    put(xa, xb, self._theta(g, zero, F.neg(three_q), +1))
+                    put(xa, yb, self._theta(g, three_q, zero, +1))
+                    put(ya, xb, self._theta(g, three_q, zero, +1))
+                    put(ya, yb, self._theta(g, zero, three_q, +1))
                 else:
                     # one root is the sum of the other and the remainder
                     big, small = (r, s) if sum(alpha) > sum(beta) else (s, r)
@@ -111,19 +112,15 @@ class ModelB(SparseAlgebra):
                     rem = ridx[diff]
                     xg, yg = 3 * big + 1, 3 * big + 2
                     xs_, ys_ = 3 * small + 1, 3 * small + 2
-                    put(xg, xs_, self._theta(rem, {}, three_q, -1))
-                    put(xg, ys_, self._theta(rem, three_q, {}, -1))
-                    put(xs_, yg, self._theta(rem, F.neg(three_q), {}, -1))
-                    put(ys_, yg, self._theta(rem, {}, three_q, -1))
+                    put(xg, xs_, self._theta(rem, zero, three_q, -1))
+                    put(xg, ys_, self._theta(rem, three_q, zero, -1))
+                    put(xs_, yg, self._theta(rem, F.neg(three_q), zero, -1))
+                    put(ys_, yg, self._theta(rem, zero, three_q, -1))
         self.products = products
 
     def _theta(self, r: int, cx, cy, power: int) -> dict:
         """coeff_x * theta^power(x_r) + coeff_y * theta^power(y_r)."""
         F = self.field
-        if isinstance(cx, dict):
-            cx = F.zero_raw()
-        if isinstance(cy, dict):
-            cy = F.zero_raw()
         half = self._half
         h3 = F.mul(self.sqrt3, half)
         if power < 0:
@@ -145,35 +142,25 @@ class ModelB(SparseAlgebra):
         return ((nine_half, F.zero_raw()), (F.zero_raw(), nine_half))
 
 
-def build_model_b(rs: RootSystem, field: Field) -> ModelB:
-    return ModelB(rs, field)
-
-
 # -- generic verification ---------------------------------------------------
-
-
-def is_multiplicative(src, dst, image_cols: list[dict]) -> tuple[bool, tuple | None]:
-    """Check f(u v) = f(u) f(v) on all basis pairs for a linear map src -> dst."""
-    F = dst.field
-    f = LinearEndo(src.dim, image_cols)
-    minus_one = F.neg(F.one_raw())
-    for i in range(src.dim):
-        for j in range(i, src.dim):
-            lhs = f.apply(dst, src.basis_product(i, j))
-            if axpy(lhs, minus_one, dst.multiply(image_cols[i], image_cols[j]), F):
-                return False, (i, j)
-    return True, None
 
 
 def is_bijective(field: Field, image_cols: list[dict], dim: int) -> bool:
     return rank(image_cols, field) == dim
 
 
-def verify_automorphism(A, endo: LinearEndo) -> None:
-    ok, pair = is_multiplicative(A, A, endo.cols)
-    if not ok:
-        raise VerificationFailure(f"multiplicativity fails on basis pair {pair}")
-    if not is_bijective(A.field, endo.cols, A.dim):
+def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
+    """Raise VerificationFailure unless `endo` is multiplicative on all basis
+    pairs of A and bijective onto `target` (A itself when omitted)."""
+    target = A if target is None else target
+    F = target.field
+    minus_one = F.neg(F.one_raw())
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            lhs = endo.apply(target, A.basis_product(i, j))
+            if axpy(lhs, minus_one, target.multiply(endo.cols[i], endo.cols[j]), F):
+                raise VerificationFailure(f"multiplicativity fails on basis pair {(i, j)}")
+    if A.dim != target.dim or not is_bijective(F, endo.cols, A.dim):
         raise VerificationFailure("map is not bijective")
 
 
@@ -201,11 +188,7 @@ def model_b_iso(B: ModelB, M: MatsuoAlgebra) -> list[dict]:
         cols.append({z: two_thirds, p: two_thirds, m: two_thirds})
         cols.append({z: B.sqrt3, p: F.neg(B.sqrt3)})
         cols.append({m: F.coerce(2), z: F.coerce(-1), p: F.coerce(-1)})
-    ok, pair = is_multiplicative(B, M, cols)
-    if not ok:
-        raise VerificationFailure(f"model-B map not multiplicative at {pair}")
-    if not is_bijective(F, cols, M.dim):
-        raise VerificationFailure("model-B map is not bijective")
+    verify_automorphism(B, LinearEndo(B.dim, cols), M)
     return cols
 
 
@@ -326,7 +309,7 @@ def _apply_matrix(mat, v):
     return tuple(out)
 
 
-def root_automorphism(M: MatsuoAlgebra, mat, verify: bool = True) -> LinearEndo:
+def root_automorphism(M: MatsuoAlgebra, mat) -> LinearEndo:
     """Automorphism of M(3^n:W) induced by an automorphism of the root system.
 
     `mat` lists the images of the simple roots (in simple-root coordinates).
@@ -358,8 +341,7 @@ def root_automorphism(M: MatsuoAlgebra, mat, verify: bool = True) -> LinearEndo:
             target = ((-eps) % 3, tuple(-c for c in image))
         cols[i] = {pt[target]: F.one_raw()}
     endo = LinearEndo(M.dim, cols)
-    if verify:
-        verify_automorphism(M, endo)
+    verify_automorphism(M, endo)
     return endo
 
 
@@ -424,7 +406,7 @@ class ZeroSumJordan:
         )
 
 
-def symmetric_model_iso(M: MatsuoAlgebra, verify: bool = True) -> tuple[ZeroSumJordan, list[dict]]:
+def symmetric_model_iso(M: MatsuoAlgebra) -> tuple[ZeroSumJordan, list[dict]]:
     """Verified isomorphism M(S_n) -> zero-sum symmetric Jordan matrices."""
     fs = M.fs
     if fs.family != "symmetric" or fs.payloads is None:
@@ -432,15 +414,9 @@ def symmetric_model_iso(M: MatsuoAlgebra, verify: bool = True) -> tuple[ZeroSumJ
     n = max(max(p) for p in fs.payloads)
     Z = ZeroSumJordan(n, M.field)
     cols = [Z.transposition_image(*p) for p in fs.payloads]
-    if verify:
-        for col in cols:
-            if not Z.is_zero_sum_symmetric(col):
-                raise VerificationFailure("image leaves the zero-sum symmetric space")
-        ok, pair = is_multiplicative(M, Z, cols)
-        if not ok:
-            raise VerificationFailure(f"matrix model not multiplicative at pair {pair}")
-        if not is_bijective(M.field, cols, M.dim):
-            raise VerificationFailure("matrix model map is not injective")
+    if not all(Z.is_zero_sum_symmetric(col) for col in cols):
+        raise VerificationFailure("image leaves the zero-sum symmetric space")
+    verify_automorphism(M, LinearEndo(M.dim, cols), Z)
     return Z, cols
 
 

@@ -21,21 +21,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, autos
+from . import __version__, verify
 from .algebra import AlgebraError, BadEta, MatsuoAlgebra
-from .deriv import (
-    LinearEndo,
-    derivation_basis,
-    is_derivation,
-    r_relations,
-    require_eta_half,
-    satisfies_r_system,
-    spans_agree,
-    vanishing_report,
-)
-from .fields import BadDescriptor, DivisionByZero, Field, FieldError, parse_field, sqrt_in_field
+from .deriv import derivation_basis, require_eta_half, spans_agree, vanishing_report
+from .fields import BadDescriptor, DivisionByZero, Field, parse_field, sqrt_in_field
 from .fischer import space_of
-from .roots import parse_root_system
 from .transpo import CATALOG, parse_group
 
 EXIT_OK = 0
@@ -68,11 +58,8 @@ def _parse_eta(field: Field, text: str):
 def _build_algebra(group_desc: str, field_desc: str, eta_text: str) -> MatsuoAlgebra:
     try:
         g = parse_group(group_desc)
-    except ValueError as e:
-        raise UsageError(str(e))
-    try:
         field = parse_field(field_desc)
-    except BadDescriptor as e:
+    except (ValueError, BadDescriptor) as e:
         raise UsageError(str(e))
     eta = _parse_eta(field, eta_text)
     try:
@@ -205,145 +192,6 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
 # -- verify ------------------------------------------------------------------
 
 
-def _suite_fusion(field: Field, groups, ledger: list) -> None:
-    half = field.coerce(Fraction(1, 2))
-    for gdesc in groups:
-        A = MatsuoAlgebra(space_of(parse_group(gdesc)), half, field)
-        bad = []
-        for a in range(A.dim):
-            dec = A.eigendecompose(a)
-            if sum(dec.dims) != A.dim:
-                bad.append({"axis": a, "reason": "eigenspace dims do not sum"})
-            bad.extend(A.check_fusion(a))
-        ledger.append({"check": f"fusion {gdesc}", "passed": not bad, "detail": bad[:3]})
-
-
-def _suite_equivalence(field: Field, groups, rng: random.Random, trials: int, ledger: list) -> None:
-    half = field.coerce(Fraction(1, 2))
-    for gdesc in groups:
-        A = MatsuoAlgebra(space_of(parse_group(gdesc)), half, field)
-        b1 = derivation_basis(A, system="leibniz")
-        b2 = derivation_basis(A, system="r")
-        ok = len(b1) == len(b2) and spans_agree(A, b1, b2)
-        detail = {"leibniz": len(b1), "r": len(b2)}
-        rows = list(r_relations(A.fs))
-        for _ in range(trials):
-            cols = [
-                {b: field.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), 3)}
-                for _ in range(A.dim)
-            ]
-            d = LinearEndo(A.dim, [{b: v for b, v in c.items() if not field.is_zero(v)} for c in cols])
-            if satisfies_r_system(A, d, rows) != is_derivation(A, d):
-                ok = False
-                detail["random_map_disagreement"] = True
-                break
-        ledger.append({"check": f"equivalence {gdesc}", "passed": ok, "detail": detail})
-
-
-def _suite_model(field: Field, types, ledger: list) -> None:
-    half = field.coerce(Fraction(1, 2))
-    for t in types:
-        try:
-            rs = parse_root_system(t)
-            B = autos.ModelB(rs, field)
-            M = MatsuoAlgebra(space_of(parse_group(f"3W:{t}")), half, field)
-            autos.model_b_iso(B, M)
-            ledger.append({"check": f"model {t}", "passed": True, "detail": {"dim": B.dim}})
-        except autos.VerificationFailure as e:
-            ledger.append({"check": f"model {t}", "passed": False, "detail": str(e)})
-
-
-def _suite_torus(field: Field, types, rng: random.Random, trials: int, ledger: list) -> None:
-    for t in types:
-        rs = parse_root_system(t)
-        B = autos.ModelB(rs, field)
-        ok, detail = True, {}
-        try:
-            for _ in range(trials):
-                p1 = [_random_param(field, rng) for _ in range(rs.rank)]
-                p2 = [_random_param(field, rng) for _ in range(rs.rank)]
-                r1 = autos.torus_automorphism(B, p1)
-                r2 = autos.torus_automorphism(B, p2)
-                r12 = autos.torus_automorphism(
-                    B, [autos.so2_mul(field, a, b) for a, b in zip(p1, p2)]
-                )
-                comp = r1.compose(B, r2)
-                if any(B.sub(a, b) for a, b in zip(comp.cols, r12.cols)):
-                    ok = False
-                    detail["composition"] = "homomorphism property failed"
-                    break
-            if ok:
-                detail["trials"] = trials
-                detail["fixed_space_dim"] = _generic_fixed_dim(B, rng)
-        except autos.AutosError as e:
-            ok, detail = False, {"error": str(e)}
-        ledger.append({"check": f"torus {t}", "passed": ok, "detail": detail})
-
-
-def _random_param(field: Field, rng: random.Random):
-    while True:
-        t = Fraction(rng.randrange(-20, 21), rng.randrange(1, 12))
-        try:
-            return autos.pythagorean_param(field, t)
-        except autos.CircleRelationViolated:
-            continue
-
-
-def _generic_fixed_dim(B: autos.ModelB, rng: random.Random) -> int:
-    rho = autos.torus_automorphism(
-        B, [_nontrivial_param(B.field, rng) for _ in range(B.rs.rank)], verify=False
-    )
-    return sum(
-        1
-        for i in range(B.dim)
-        if not B.sub(rho.cols[i], B.basis_element(i))
-    )
-
-
-def _nontrivial_param(field: Field, rng: random.Random):
-    while True:
-        p = _random_param(field, rng)
-        if not field.is_zero(p[1]):
-            return p
-
-
-def _suite_section(field: Field, types, ledger: list) -> None:
-    half = field.coerce(Fraction(1, 2))
-    for t in types:
-        rs = parse_root_system(t)
-        M = MatsuoAlgebra(space_of(parse_group(f"3W:{t}")), half, field)
-        ok, detail = True, {}
-        try:
-            for i, s in enumerate(rs.simple_roots()):
-                autos.root_automorphism(M, autos.weyl_reflection_matrix(rs, s))
-            detail["weyl_reflections"] = rs.rank
-            flip = _diagram_flip(rs)
-            if flip is not None:
-                autos.root_automorphism(M, autos.diagram_automorphism_matrix(rs, flip))
-                detail["diagram_flip"] = True
-            if sqrt_in_field(field, -1) is not None and sqrt_in_field(field, 3) is not None:
-                B = autos.ModelB(rs, field)
-                rep = autos.character_report(
-                    B, [autos.pythagorean_param(field, Fraction(k + 1, 7)) for k in range(rs.rank)]
-                )
-                detail["character_additivity"] = rep["additive"]
-                detail["pair_products_proportional"] = rep["pair_products_proportional"]
-                ok = ok and rep["additive"] and rep["pair_products_proportional"]
-        except (autos.AutosError, FieldError) as e:
-            ok, detail = False, {"error": str(e)}
-        ledger.append({"check": f"section {t}", "passed": ok, "detail": detail})
-
-
-def _diagram_flip(rs) -> list | None:
-    if rs.type_name == "A" and rs.rank >= 2:
-        return list(range(rs.rank - 1, -1, -1))
-    if rs.type_name == "D":
-        perm = list(range(rs.rank))
-        perm[-1], perm[-2] = perm[-2], perm[-1]
-        return perm
-    return None
-
-
 def cmd_verify(args) -> tuple[dict, list[dict]]:
     try:
         field = parse_field(args.field)
@@ -358,26 +206,10 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
         raise UsageError("verification suites need char k != 3")
     if args.trials < 0:
         raise UsageError(f"--trials must be a nonnegative integer, got {args.trials}")
-    ledger: list[dict] = []
-    suites = {
-        "fusion": lambda: _suite_fusion(field, groups, ledger),
-        "equivalence": lambda: _suite_equivalence(field, groups, rng, args.trials, ledger),
-        "model": lambda: _suite_model(field, types, ledger),
-        "torus": lambda: _suite_torus(field, types, rng, args.trials, ledger),
-        "section": lambda: _suite_section(field, types, ledger),
-    }
-    if args.suite == "all":
-        for run in suites.values():
-            run()
-    elif args.suite in suites:
-        suites[args.suite]()
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
+    ledger = verify.run(args.suite, field, groups, types, rng, args.trials)
     passed = all(item["passed"] for item in ledger)
     results = {"checks": ledger, "failed": sum(1 for i in ledger if not i["passed"])}
-    table = [
-        {"check": i["check"], "passed": i["passed"]} for i in ledger
-    ]
+    table = [{"check": i["check"], "passed": i["passed"]} for i in ledger]
     return _report(args, "verify", results, passed), table
 
 
@@ -445,9 +277,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite", choices=("all", "fusion", "equivalence", "model", "torus", "section")
-    )
+    p.add_argument("suite", choices=("all", *verify.SUITES))
     p.add_argument("--group", default=None, help="restrict to one group descriptor")
     p.add_argument("--type", default=None, help="root system type for model/torus/section")
     p.add_argument("--trials", type=int, default=25, help="randomized trials per check")

@@ -117,15 +117,14 @@ def build_leibniz_system(A: MatsuoAlgebra) -> list[dict]:
     return rows
 
 
-def r_relations(fs, include_r7: bool = True):
+def r_relations(fs):
     """The seven relation families characterising derivations at eta = 1/2.
 
     Yields integer rows {unknown: coefficient}, each coefficient +-1 or 2,
     so nonzero in every odd characteristic.  No row names an unknown twice:
     (R5)-(R7) draw on the distinct images of a, b and a^b, and in (R4)
-    c^a^b = c would put b on the line through c and a.  `include_r7` exists
-    to measure how much the non-planar family (R7) contributes beyond
-    (R1)-(R6).
+    c^a^b = c would put b on the line through c and a.  The coefficient 2
+    occurs in (R7) rows only.
     """
     n = fs.n
     third = fs.third
@@ -172,12 +171,11 @@ def r_relations(fs, include_r7: bool = True):
                 if coll(a, e) and coll(b, e) and coll(ab, e):
                     yield {ab * n + e: 1, a * n + third[e][b]: -1, b * n + third[e][a]: -1}
             # (R7): 2 d(b)_a + d(a)_b + d(a^b)_a - sum_{a perp e, b noncommuting e} d(b)_e
-            if include_r7:
-                row = {b * n + a: 2, a * n + b: 1, ab * n + a: 1}
-                for e in range(n):
-                    if e != a and not coll(a, e) and coll(b, e):  # e commutes with a, e != a
-                        row[b * n + e] = -1
-                yield row
+            row = {b * n + a: 2, a * n + b: 1, ab * n + a: 1}
+            for e in range(n):
+                if e != a and not coll(a, e) and coll(b, e):  # e commutes with a, e != a
+                    row[b * n + e] = -1
+            yield row
 
 
 def require_eta_half(A: MatsuoAlgebra) -> None:
@@ -187,11 +185,11 @@ def require_eta_half(A: MatsuoAlgebra) -> None:
         raise BadEta("the relation system is specific to eta = 1/2")
 
 
-def build_r_system(A: MatsuoAlgebra, include_r7: bool = True) -> list[dict]:
+def build_r_system(A: MatsuoAlgebra) -> list[dict]:
     """The rows of `r_relations` over the field of A."""
     require_eta_half(A)
     coerce = A.field.coerce
-    return [{u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs, include_r7)]
+    return [{u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs)]
 
 
 def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo, rows=None) -> bool:

@@ -128,7 +128,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.raw if not isinstance(self.raw, tuple) else self.raw))
+        return hash((self.field, self.raw))
 
     def __repr__(self):
         return f"{self.field.format(self.raw)}"

@@ -52,7 +52,6 @@ class FischerSpace:
         self.family = family
         self.payloads = payloads
         self.group = group
-        self._closure_cache: dict = {}
         lines = set()
         for i in range(n):
             for j in range(i + 1, n):
@@ -87,17 +86,10 @@ class FischerSpace:
 
     def closure(self, seed) -> frozenset:
         """Smallest subspace containing the seed (third-point fixed point)."""
-        seed = frozenset(seed)
-        if not seed:
-            raise ValueError("closure needs a nonempty seed")
-        cached = self._closure_cache.get(seed)
-        if cached is None:
-            cached = self._closure_cache[seed] = self._close(seed)
-        return cached
-
-    def _close(self, seed: frozenset) -> frozenset:
-        elems = list(seed)
         members = set(seed)
+        if not members:
+            raise ValueError("closure needs a nonempty seed")
+        elems = list(members)
         third = self.third
         i = 0
         while i < len(elems):
@@ -181,7 +173,7 @@ class FischerSpace:
         lset = set(line)
         a = line[0]
         for p in comp - lset:
-            sub = self.component_of(self._close(lset | {p}), a)
+            sub = self.component_of(self.closure(lset | {p}), a)
             if len(sub) == 3:
                 continue
             if len(sub) != 9:
@@ -192,9 +184,7 @@ class FischerSpace:
         """Decide near-solidity of a line; on failure return the offending subspace.
 
         Enumerates closures of line + {c, d} over all point pairs and
-        classifies the connected component of the line in each.  These
-        closures bypass the per-space memo: the seeds line + {c, d} of one
-        call do not repeat.
+        classifies the connected component of the line in each.
         """
         line = tuple(sorted(line))
         in_range = len(line) == 3 and line[0] >= 0 and line[2] < self.n
@@ -203,11 +193,11 @@ class FischerSpace:
         lset = frozenset(line)
         a = line[0]
         for c in range(self.n):
-            base = self._close(lset | {c})
+            base = self.closure(lset | {c})
             for d in range(c, self.n):
                 if d in base:
                     continue  # closure is 3-generated or less on top of the line
-                comp = self.component_of(self._close(lset | {c, d}), a)
+                comp = self.component_of(self.closure(lset | {c, d}), a)
                 t = self._component_type(comp)
                 if t.kind in ("ThreeGen", "S5"):
                     continue

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from matsuo import autos
+from matsuo.algebra import MatsuoAlgebra, NotSemisimple
 from matsuo.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -97,6 +99,60 @@ def test_verify_all_small_field(capsys):
     checks = {c["check"] for c in doc["results"]["checks"]}
     assert any(c.startswith("fusion") for c in checks)
     assert any(c.startswith("section") for c in checks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the fixed parameters t = k/7 include a root of 1 + t^2 in these fields
+        ["section", "--type", "D4", "--field", "F13"],
+        ["section", "--type", "D5", "--field", "F37"],
+        # the seeded draws t = a/b include b = 11, which has no inverse in F11
+        ["torus", "--type", "A2", "--field", "F11", "--trials", "3"],
+    ],
+)
+def test_verify_skips_parameters_with_no_circle_point(capsys, argv):
+    code, doc = run_json(["verify", *argv], capsys)
+    assert code == EXIT_OK
+    (entry,) = doc["results"]["checks"]
+    assert entry["passed"]
+
+
+def test_verify_failed_check_exits_1(monkeypatch, capsys):
+    def one_violation(self, a):
+        return [{"axis": a, "law": "0*0", "pair": (0, 0)}] if a == 0 else []
+
+    monkeypatch.setattr(MatsuoAlgebra, "check_fusion", one_violation)
+    code, doc = run_json(["verify", "fusion", "--group", "S3"], capsys)
+    assert code == EXIT_FAIL
+    assert doc["passed"] is False and doc["results"]["failed"] == 1
+    code, out, _ = run(["verify", "fusion", "--group", "S3"], capsys)
+    assert code == EXIT_FAIL
+    assert "  [FAIL] fusion S3\n" in out
+
+
+def _raise(exc):
+    def raiser(*args):
+        raise exc
+
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "owner,attr,exc,argv",
+    [
+        (autos, "model_b_iso", autos.VerificationFailure("not multiplicative"),
+         ["model", "--type", "A2", "--field", "F13"]),
+        (MatsuoAlgebra, "check_fusion", NotSemisimple("axis 0"), ["fusion", "--group", "S3"]),
+    ],
+)
+def test_verify_raised_error_is_a_failed_entry(monkeypatch, capsys, owner, attr, exc, argv):
+    monkeypatch.setattr(owner, attr, _raise(exc))
+    code, out, err = run(["verify", *argv, "--json"], capsys)
+    assert code == EXIT_FAIL and err == ""
+    (entry,) = json.loads(out)["results"]["checks"]
+    assert entry["passed"] is False
+    assert entry["detail"] == {"error": str(exc)}
 
 
 def test_usage_errors_exit_2(capsys):
@@ -215,6 +271,24 @@ def test_classify_report_bytes_are_pinned(capsys, group, fmt):
     code, out, _ = run(["classify-lines", group, fmt], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN[(group, fmt)]
+
+
+# sha256 of `verify <argv> --json`, recorded while the suites still lived in
+# the CLI: moving them into matsuo.verify must not move a byte
+VERIFY_GOLDEN = {
+    "all --field F13 --trials 2": "bce2e4a8df48f8455b6468b967bf9d28c8c51dadaa753ca1903f5ff2cd2bed08",
+    "torus --type A2 --field F13 --trials 3 --seed 3": "b2184462e8ade70645849d470860edad3526682a37839e575570fc6017938df7",
+    "section --type A3 --field F13": "67ba1aced2abea2fa33b1ec070ed9700f13199445a15df7f84f7d491634a8085",
+    "equivalence --group M3:3 --field F7": "c3a1ff0cd78c2e75b28e01d06ddbf84cd8bcef76b843c0bce6663bc20f8c6f27",
+    "fusion --group S5": "5c2eb860ed0c94fd451172f13b086eea88828a68ae87d5a00d6406982bf6b5ce",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
+def test_verify_report_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(["verify", *argv.split(), "--json"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
 
 
 @pytest.mark.parametrize("group,near", [("3W:E6", 36), ("3W:E7", 63)])

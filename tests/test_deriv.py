@@ -216,11 +216,16 @@ def test_r_system_requires_eta_half():
 
 
 def test_r7_redundancy_rank_report():
-    """Record how much (R7) adds beyond (R1)-(R6); no stance on redundancy."""
+    """Record how much (R7) adds beyond (R1)-(R6); no stance on redundancy.
+    The (R7) rows are exactly the rows with a coefficient 2."""
+    two = Q.coerce(2)
     for desc in ("S4", "W:A3", "3W:A2", "M3:2"):
         A = _alg(desc)
-        dim_full = len(nullspace_endos(A, build_r_system(A)))
-        dim_no_r7 = len(nullspace_endos(A, build_r_system(A, include_r7=False)))
+        rows = build_r_system(A)
+        without_r7 = [row for row in rows if two not in row.values()]
+        assert len(without_r7) < len(rows)
+        dim_full = len(nullspace_endos(A, rows))
+        dim_no_r7 = len(nullspace_endos(A, without_r7))
         assert dim_full == DIMS[desc]
         assert dim_no_r7 >= dim_full  # dropping constraints can only grow it
 

@@ -217,12 +217,6 @@ def test_moufang_m3_4_has_forty_line_orbits():
     assert len(orbits) == 40 and sum(map(len, orbits)) == 1080
 
 
-def test_closure_memoization_consistency():
-    fs = _space("3W:A3")
-    seed = frozenset(fs.lines[0])
-    assert fs.closure(seed) is fs.closure(set(seed))
-
-
 def _line_isomorphism(fs1, fs2):
     """A point bijection carrying the lines of fs1 onto those of fs2, or None.
 
