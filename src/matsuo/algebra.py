@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .fields import Field, FieldElement, field_name
+from .fields import Field, field_name
 from .fischer import FischerSpace
 from .linalg import Echelon, axpy, nullspace
 
@@ -93,7 +93,7 @@ class MatsuoAlgebra(SparseAlgebra):
     def __init__(self, fs: FischerSpace, eta, field: Field):
         if field.characteristic == 2:
             raise BadCharacteristic("Matsuo algebras need char k != 2")
-        eta = field.coerce(eta.raw if isinstance(eta, FieldElement) else eta)
+        eta = field.coerce(eta)
         if field.is_zero(eta) or eta == field.one_raw():
             raise BadEta("eta must avoid {0, 1}")
         self.fs = fs
@@ -179,7 +179,7 @@ class MatsuoAlgebra(SparseAlgebra):
                         )
         return violations
 
-    def phi(self, a: int, b: int) -> FieldElement:
+    def phi(self, a: int, b: int):
         """Coefficient of a in the eigendecomposition of axis b w.r.t. a.
 
         Uses the exact projection P_1 = L_a (L_a - eta) / (1 - eta) onto the
@@ -191,13 +191,14 @@ class MatsuoAlgebra(SparseAlgebra):
         v = self.sub(self.multiply(e_a, v), self.scale(self.eta, v))
         denom = F.sub(F.one_raw(), self.eta)
         coeff = v.get(a, F.zero_raw())
-        return FieldElement(F, F.div(coeff, denom))
+        return F.div(coeff, denom)
 
     def projection_graph(self) -> list[tuple[int, int]]:
+        F = self.field
         edges = []
         for a in range(self.dim):
             for b in range(self.dim):
-                if a != b and not self.phi(a, b).is_zero():
+                if a != b and not F.is_zero(self.phi(a, b)):
                     edges.append((a, b))
         return edges
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra import BadCharacteristic, MatsuoAlgebra, SparseAlgebra
 from .deriv import LinearEndo
-from .fields import Field, sqrt_in_field
+from .fields import Field
 from .linalg import axpy, rank
 from .roots import RootSystem
 
@@ -50,12 +50,12 @@ class ModelB(SparseAlgebra):
     def __init__(self, rs: RootSystem, field: Field):
         if field.characteristic in (2, 3):
             raise BadCharacteristic("model B needs char k not in {2, 3}")
-        s3 = sqrt_in_field(field, 3)
+        s3 = field.sqrt_raw(field.coerce(3))
         if s3 is None:
             raise NoSqrt3(f"3 is not a square in {field}")
         self.rs = rs
         self.field = field
-        self.sqrt3 = s3.raw
+        self.sqrt3 = s3
         m = len(rs.positive_roots)
         self.dim = 3 * m
         F = field
@@ -234,37 +234,15 @@ def torus_params_for_roots(B: ModelB, simple_params) -> list:
     rs = B.rs
     for p in simple_params:
         check_circle(F, p)
-    ident = (F.one_raw(), F.zero_raw())
-
-    def power(p, e):
-        out = ident
-        q = p if e >= 0 else so2_inv(F, p)
-        for _ in range(abs(e)):
-            out = so2_mul(F, out, q)
-        return out
-
     params = []
-    ridx = {a: r for r, a in enumerate(rs.positive_roots)}
+    # positive roots have nonnegative simple-root coordinates e_i, so
+    # rho_alpha = prod_i rho_i^{e_i}; SO_2 is abelian, so the order is immaterial
     for alpha in rs.positive_roots:
-        rho = ident
-        for i, e in enumerate(alpha):
-            rho = so2_mul(F, rho, power(simple_params[i], e))
+        rho = (F.one_raw(), F.zero_raw())
+        for p, e in zip(simple_params, alpha):
+            for _ in range(e):
+                rho = so2_mul(F, rho, p)
         params.append(rho)
-    # decomposition-independence: rho_{beta + alpha_i} = rho_beta rho_i
-    simples = rs.simple_roots()
-    for alpha in rs.positive_roots:
-        if sum(alpha) <= 1:
-            continue
-        for i, e in enumerate(alpha):
-            if e > 0:
-                beta = tuple(a - b for a, b in zip(alpha, simples[i]))
-                if beta in ridx:
-                    got = so2_mul(F, params[ridx[beta]], simple_params[i])
-                    if got != params[ridx[alpha]]:
-                        raise CircleRelationViolated(
-                            "inconsistent rotation assignment across decompositions"
-                        )
-                    break
     return params
 
 
@@ -426,10 +404,9 @@ def symmetric_model_iso(M: MatsuoAlgebra) -> tuple[ZeroSumJordan, list[dict]]:
 def character_report(B: ModelB, simple_params) -> dict:
     """Eigenvalues of a torus element on e_a = x_a + i y_a and their additivity."""
     F = B.field
-    i_unit = sqrt_in_field(F, -1)
-    if i_unit is None:
+    i_raw = F.sqrt_raw(F.coerce(-1))
+    if i_raw is None:
         raise AutosError(f"-1 is not a square in {F}")
-    i_raw = i_unit.raw
     params = torus_params_for_roots(B, simple_params)
     endo = torus_automorphism(B, simple_params, verify=False)
     rs = B.rs

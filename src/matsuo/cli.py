@@ -26,6 +26,7 @@ from .algebra import AlgebraError, BadEta, MatsuoAlgebra
 from .deriv import derivation_basis, require_eta_half, spans_agree, vanishing_report
 from .fields import BadDescriptor, DivisionByZero, Field, parse_field, sqrt_in_field
 from .fischer import space_of
+from .roots import parse_root_system
 from .transpo import CATALOG, parse_group
 
 EXIT_OK = 0
@@ -195,8 +196,14 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
 def cmd_verify(args) -> tuple[dict, list[dict]]:
     try:
         field = parse_field(args.field)
-    except BadDescriptor as e:
+        if args.group:
+            parse_group(args.group)
+        if args.type:
+            parse_root_system(args.type)
+    except (ValueError, BadDescriptor) as e:
         raise UsageError(str(e))
+    if _parse_eta(field, args.eta) != field.coerce(Fraction(1, 2)):
+        raise UsageError(f"verify runs at eta = 1/2 only, got {args.eta!r}")
     rng = random.Random(args.seed)
     groups = [args.group] if args.group else list(CATALOG)
     types = [args.type] if args.type else ["A2", "A3"]

@@ -1,15 +1,16 @@
 """Exact scalar arithmetic over Q, prime fields F_p (p odd) and quadratic extensions.
 
 Every algebraic computation in this package runs over one of these fields.
-Elements are immutable; a field instance acts as a factory and as the
-authority on its own raw representation (Fraction for Q, int residues for
-F_p, coefficient pairs for F(sqrt d)).
+Scalars are raw values (Fraction for Q, int residues for F_p, coefficient
+pairs for F(sqrt d)); a field instance does all arithmetic on its own raw
+values.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -18,10 +19,6 @@ class FieldError(Exception):
 
 
 class DivisionByZero(FieldError):
-    pass
-
-
-class MixedFields(FieldError):
     pass
 
 
@@ -53,100 +50,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class FieldElement:
-    """Immutable wrapper pairing a raw value with its field."""
+    """A raw value paired with its field, as `sqrt_in_field` returns it."""
 
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field: "Field", raw):
-        self.field = field
-        self.raw = raw
-
-    def _raw_of(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields(f"{self.field} vs {other.field}")
-            return other.raw
-        if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._raw_of(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.raw, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._raw_of(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.raw, r))
-
-    def __rsub__(self, other):
-        r = self._raw_of(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(r, self.raw))
-
-    def __mul__(self, other):
-        r = self._raw_of(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.raw, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._raw_of(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.raw, r))
-
-    def __rtruediv__(self, other):
-        r = self._raw_of(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(r, self.raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.raw))
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.raw))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.raw)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.raw == other.raw
-        if isinstance(other, (int, Fraction)):
-            return self.raw == self.field.coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.raw))
-
-    def __repr__(self):
-        return f"{self.field.format(self.raw)}"
+    field: Field
+    raw: object
 
 
 class Field:
     """Common surface for the three field kinds; subclasses work on raw values."""
 
     characteristic = 0
-
-    def __call__(self, x) -> FieldElement:
-        return FieldElement(self, self.coerce(x))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, self.zero_raw())
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, self.one_raw())
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -81,7 +81,7 @@ def equivalence(field: Field, desc: str, rng: random.Random, trials: int) -> tup
     rows = list(r_relations(A.fs))
     for _ in range(trials):
         cols = [
-            {b: field.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), 3)}
+            {b: field.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), min(3, A.dim))}
             for _ in range(A.dim)
         ]
         d = LinearEndo(A.dim, [{b: v for b, v in c.items() if not field.is_zero(v)} for c in cols])

@@ -1,9 +1,12 @@
 """CLI contract: reports, exit codes, determinism, output formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsuo import autos
 from matsuo.algebra import MatsuoAlgebra, NotSemisimple
@@ -173,6 +176,13 @@ def test_usage_errors_exit_2(capsys):
         ["build", "S4", "--field", "F3", "--eta", "1/3"],  # 1/3 has no image in F3
         ["build", "S4", "--field", "F318665857834031151167461"],  # composite, above 2^64
         ["verify", "all", "--trials", "-1", "--group", "S3", "--field", "F13"],
+        ["verify", "fusion", "--group", "NOPE"],  # descriptors are checked before any suite runs
+        ["verify", "model", "--type", "X9", "--field", "F13"],
+        ["verify", "all", "--group", "S1"],
+        ["verify", "torus", "--type", "E9", "--field", "F13"],
+        ["verify", "fusion", "--group", "S3", "--eta", "1/3", "--json"],  # suites run at eta = 1/2
+        ["verify", "fusion", "--group", "S3", "--eta", "1/0"],
+        ["verify", "fusion", "--group", "S3", "--eta", "x"],
     ],
 )
 def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
@@ -180,6 +190,39 @@ def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GROUPS = ["S2", "S3", "S4", "W:A2", "3W:A1", "M3:1", "M3:2", "S1", "S", "W:X2", "3W:E9", "M3:x", "NOPE"]
+FIELDS = ["Q", "F5", "F7", "F13", "F3", "F91", "Q(sqrt:3)", "R", "Q(sqrt:4)"]
+ETAS = ["1/2", "1/3", "2", "3", "0", "1", "1/0", "1/5", "x"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    command=st.one_of(
+        st.tuples(st.sampled_from(["build", "classify-lines"]), st.sampled_from(GROUPS)),
+        st.tuples(
+            st.just("derive"), st.sampled_from(GROUPS),
+            st.just("--system"), st.sampled_from(["leibniz", "r", "both"]),
+        ),
+        st.tuples(
+            st.just("verify"), st.sampled_from(["all", "fusion", "equivalence", "model", "torus", "section"]),
+            st.just("--group"), st.sampled_from(GROUPS),
+            st.just("--type"), st.sampled_from(["A1", "A2", "X9", "E9", "D3"]),
+            st.just("--trials"), st.sampled_from(["-1", "0", "1"]),
+        ),
+    ),
+    field=st.sampled_from(FIELDS),
+    eta=st.sampled_from(ETAS),
+)
+def test_fuzzed_inputs_exit_cleanly(command, field, eta):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--field", field, "--eta", eta, "--json"])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_USAGE:
+        assert (code == EXIT_FAIL) == (json.loads(out.getvalue())["passed"] is False)
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -205,6 +205,18 @@ def test_char3_contrast_regression():
     assert len(leib) == len(rsys) == 52
 
 
+# dim Der at eta = 1/2 over F_p against Q, measured with both systems: it
+# jumps at S5/F5, S7/F7 and W:A4/F5 (W(A4) is S5); S6/F5 and 3W:A4/F5 do not
+@pytest.mark.parametrize(
+    "desc,p,dim_p,dim_q",
+    [("S5", 5, 7, 6), ("S7", 7, 16, 15), ("W:A4", 5, 7, 6), ("S6", 5, 10, 10), ("3W:A4", 5, 4, 4)],
+)
+def test_characteristic_jumps(desc, p, dim_p, dim_q):
+    for field, dim in ((PrimeField(p), dim_p), (Q, dim_q)):
+        A = _alg(desc, field=field)
+        assert [len(derivation_basis(A, system=s)) for s in ("leibniz", "r")] == [dim, dim]
+
+
 def test_r_system_requires_eta_half():
     A = build_matsuo(space_of(parse_group("S3")), Fraction(1, 3), Q)
     with pytest.raises(BadEta):
