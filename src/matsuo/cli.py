@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__, verify
 from .algebra import AlgebraError, BadEta, MatsuoAlgebra
 from .deriv import derivation_basis, require_eta_half, spans_agree, vanishing_report
-from .fields import BadDescriptor, DivisionByZero, Field, parse_field, sqrt_in_field
+from .fields import DivisionByZero, Field, FieldError, parse_field, sqrt_in_field
 from .fischer import space_of
 from .roots import parse_root_system
 from .transpo import CATALOG, parse_group
@@ -49,23 +49,23 @@ def _positive_threads() -> int:
     return n
 
 
-def _parse_eta(field: Field, text: str):
+def _field_and_eta(args) -> tuple[Field, object]:
+    """`--field` and `--eta` as a field and a raw value in it; exit 2 if either is unreadable."""
     try:
-        return field.coerce(Fraction(text))
+        field = parse_field(args.field)
+    except (ArithmeticError, FieldError) as e:  # e.g. d = 1/0, or 1/5 in F5(sqrt:1/5)
+        raise UsageError(f"cannot read field {args.field!r}: {e}")
+    try:
+        return field, field.coerce(Fraction(args.eta))
     except (ValueError, ZeroDivisionError, DivisionByZero) as e:
-        raise UsageError(f"cannot read eta {text!r} in {field}: {e}")
+        raise UsageError(f"cannot read eta {args.eta!r} in {field}: {e}")
 
 
-def _build_algebra(group_desc: str, field_desc: str, eta_text: str) -> MatsuoAlgebra:
+def _build_algebra(args) -> MatsuoAlgebra:
+    field, eta = _field_and_eta(args)
     try:
-        g = parse_group(group_desc)
-        field = parse_field(field_desc)
-    except (ValueError, BadDescriptor) as e:
-        raise UsageError(str(e))
-    eta = _parse_eta(field, eta_text)
-    try:
-        return MatsuoAlgebra(space_of(g), eta, field)
-    except AlgebraError as e:
+        return MatsuoAlgebra(space_of(parse_group(args.group)), eta, field)
+    except (ValueError, AlgebraError) as e:
         raise UsageError(str(e))
 
 
@@ -90,7 +90,7 @@ def _report(args, command: str, results: dict, passed: bool = True) -> dict:
 
 
 def cmd_build(args) -> tuple[dict, list[dict]]:
-    A = _build_algebra(args.group, args.field, args.eta)
+    A = _build_algebra(args)
     fs = A.fs
     results = {
         "points": fs.n,
@@ -114,7 +114,7 @@ def cmd_build(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_derive(args) -> tuple[dict, list[dict]]:
-    A = _build_algebra(args.group, args.field, args.eta)
+    A = _build_algebra(args)
     systems = ("leibniz", "r") if args.system == "both" else (args.system,)
     if "r" in systems:
         try:
@@ -150,6 +150,7 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
     """Near-solidity of every line, tested on the smallest line of each line orbit
     and copied to the rest.  Each row's witness type is the representative's
     first failure: not a theorem, but constant on orbits in every group tested."""
+    _field_and_eta(args)  # the report echoes both, so neither may be unreadable
     try:
         g = parse_group(args.group)
     except ValueError as e:
@@ -194,15 +195,15 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_verify(args) -> tuple[dict, list[dict]]:
+    field, eta = _field_and_eta(args)
     try:
-        field = parse_field(args.field)
         if args.group:
             parse_group(args.group)
         if args.type:
             parse_root_system(args.type)
-    except (ValueError, BadDescriptor) as e:
+    except ValueError as e:
         raise UsageError(str(e))
-    if _parse_eta(field, args.eta) != field.coerce(Fraction(1, 2)):
+    if eta != field.coerce(Fraction(1, 2)):
         raise UsageError(f"verify runs at eta = 1/2 only, got {args.eta!r}")
     rng = random.Random(args.seed)
     groups = [args.group] if args.group else list(CATALOG)

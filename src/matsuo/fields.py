@@ -252,6 +252,11 @@ class QuadraticExtension(Field):
 
     def mul(self, a, b):
         F = self.base
+        # a raw zero (Fraction(0), residue 0) is falsy; then two base products suffice
+        if not a[1]:
+            return (F.mul(a[0], b[0]), F.mul(a[0], b[1]))
+        if not b[1]:
+            return (F.mul(a[0], b[0]), F.mul(a[1], b[0]))
         return (
             F.add(F.mul(a[0], b[0]), F.mul(self.d, F.mul(a[1], b[1]))),
             F.add(F.mul(a[0], b[1]), F.mul(a[1], b[0])),

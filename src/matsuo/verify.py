@@ -16,7 +16,7 @@ from .algebra import AlgebraError, MatsuoAlgebra
 from .deriv import (
     LinearEndo, derivation_basis, is_derivation, r_relations, satisfies_r_system, spans_agree
 )
-from .fields import DivisionByZero, Field, FieldError, sqrt_in_field
+from .fields import DivisionByZero, Field, FieldError, QuadraticExtension, sqrt_in_field
 from .fischer import space_of
 from .roots import RootSystem, parse_root_system
 from .transpo import parse_group
@@ -25,6 +25,18 @@ from .transpo import parse_group
 def _algebra(desc: str, field: Field) -> MatsuoAlgebra:
     """The Matsuo algebra of a group descriptor at eta = 1/2."""
     return MatsuoAlgebra(space_of(parse_group(desc)), field.coerce(Fraction(1, 2)), field)
+
+
+def _base_algebra(desc: str, field: Field) -> MatsuoAlgebra:
+    """The algebra over k when `field` is K = k(sqrt d), else over `field`.
+
+    L_a and its eigenvalues 1, 0, 1/2 are defined over k, so each eigenspace over
+    K is the k-eigenspace tensored up to K.  Fusion containment and the derivation
+    nullity are rank conditions, and rank does not change under a field extension.
+    The random maps of `equivalence` have integer entries and root automorphisms
+    are 0/1 permutation matrices, so each verdict over k is the verdict over K.
+    """
+    return _algebra(desc, field.base if isinstance(field, QuadraticExtension) else field)
 
 
 def _param(field: Field, rng: random.Random, nontrivial: bool = False):
@@ -40,12 +52,12 @@ def _param(field: Field, rng: random.Random, nontrivial: bool = False):
 
 
 def _circle_points(field: Field, count: int) -> list:
-    """Circle points of t = 1/7, 2/7, ..., skipping the at most two roots of 1 + t^2."""
+    """Circle points of t = 1/7, 2/7, ..., skipping the t with no image or with 1 + t^2 = 0."""
     points, k = [], 1
     while len(points) < count:
         try:
             points.append(autos.pythagorean_param(field, Fraction(k, 7)))
-        except autos.CircleRelationViolated:
+        except (autos.CircleRelationViolated, DivisionByZero):
             pass
         k += 1
     return points
@@ -66,14 +78,15 @@ def _diagram_flip(rs: RootSystem) -> list | None:
 
 def fusion(field: Field, desc: str, rng, trials) -> tuple[bool, list]:
     """The Jordan fusion law at every axis; the detail lists the first three violations."""
-    A = _algebra(desc, field)
+    A = _base_algebra(desc, field)
     bad = [v for a in range(A.dim) for v in A.check_fusion(a)]
     return not bad, bad[:3]
 
 
 def equivalence(field: Field, desc: str, rng: random.Random, trials: int) -> tuple[bool, dict]:
     """Leibniz and (R1)-(R7) agree on the derivation space and on `trials` random maps."""
-    A = _algebra(desc, field)
+    A = _base_algebra(desc, field)
+    F = A.field
     b1 = derivation_basis(A, system="leibniz")
     b2 = derivation_basis(A, system="r")
     ok = len(b1) == len(b2) and spans_agree(A, b1, b2)
@@ -81,10 +94,10 @@ def equivalence(field: Field, desc: str, rng: random.Random, trials: int) -> tup
     rows = list(r_relations(A.fs))
     for _ in range(trials):
         cols = [
-            {b: field.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), min(3, A.dim))}
+            {b: F.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), min(3, A.dim))}
             for _ in range(A.dim)
         ]
-        d = LinearEndo(A.dim, [{b: v for b, v in c.items() if not field.is_zero(v)} for c in cols])
+        d = LinearEndo(A.dim, [{b: v for b, v in c.items() if not F.is_zero(v)} for c in cols])
         if satisfies_r_system(A, d, rows) != is_derivation(A, d):
             ok = False
             detail["random_map_disagreement"] = True
@@ -122,7 +135,7 @@ def torus(field: Field, t: str, rng: random.Random, trials: int) -> tuple[bool, 
 def section(field: Field, t: str, rng, trials) -> tuple[bool, dict]:
     """Weyl reflections and the diagram flip act on M(3^n:W); torus characters are additive."""
     rs = parse_root_system(t)
-    M = _algebra(f"3W:{t}", field)
+    M = _base_algebra(f"3W:{t}", field)
     for s in rs.simple_roots():
         autos.root_automorphism(M, autos.weyl_reflection_matrix(rs, s))
     detail = {"weyl_reflections": rs.rank}

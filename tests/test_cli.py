@@ -112,6 +112,8 @@ def test_verify_all_small_field(capsys):
         ["section", "--type", "D5", "--field", "F37"],
         # the seeded draws t = a/b include b = 11, which has no inverse in F11
         ["torus", "--type", "A2", "--field", "F11", "--trials", "3"],
+        # every t = k/7 with 7 not dividing k has no image in characteristic 7
+        ["section", "--type", "A2", "--field", "F7(sqrt:3)"],
     ],
 )
 def test_verify_skips_parameters_with_no_circle_point(capsys, argv):
@@ -183,6 +185,12 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "fusion", "--group", "S3", "--eta", "1/3", "--json"],  # suites run at eta = 1/2
         ["verify", "fusion", "--group", "S3", "--eta", "1/0"],
         ["verify", "fusion", "--group", "S3", "--eta", "x"],
+        ["classify-lines", "S3", "--field", "garbage", "--eta", "x", "--json"],
+        ["classify-lines", "S3", "--eta", "x"],
+        ["classify-lines", "S3", "--eta", "1/7", "--field", "F7"],
+        ["classify-lines", "S3", "--field", "Fp:4"],
+        ["build", "S3", "--field", "Q(sqrt:1/0)"],
+        ["build", "S3", "--field", "F5(sqrt:1/5)"],  # 1/5 has no image in F5
     ],
 )
 def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
@@ -193,7 +201,7 @@ def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
 
 
 GROUPS = ["S2", "S3", "S4", "W:A2", "3W:A1", "M3:1", "M3:2", "S1", "S", "W:X2", "3W:E9", "M3:x", "NOPE"]
-FIELDS = ["Q", "F5", "F7", "F13", "F3", "F91", "Q(sqrt:3)", "R", "Q(sqrt:4)"]
+FIELDS = ["Q", "F5", "F7", "F13", "F3", "F91", "Q(sqrt:3)", "F5(sqrt:3)", "F7(sqrt:3)", "R", "Q(sqrt:4)"]
 ETAS = ["1/2", "1/3", "2", "3", "0", "1", "1/0", "1/5", "x"]
 
 
@@ -324,6 +332,11 @@ VERIFY_GOLDEN = {
     "section --type A3 --field F13": "67ba1aced2abea2fa33b1ec070ed9700f13199445a15df7f84f7d491634a8085",
     "equivalence --group M3:3 --field F7": "c3a1ff0cd78c2e75b28e01d06ddbf84cd8bcef76b843c0bce6663bc20f8c6f27",
     "fusion --group S5": "5c2eb860ed0c94fd451172f13b086eea88828a68ae87d5a00d6406982bf6b5ce",
+    # recorded while every algebra was still built over the extension field:
+    # running the rational suites over the base field must not move a byte
+    "all --trials 2 --group 3W:A2 --field Q(sqrt:3)": "64cc7d8c37b3b2e788ed0bffa5451f6160889a881c84ebde76456f0ecd94c00b",
+    "model --type D4 --field Q(sqrt:3)": "f44f3c265c38ca9a51474d6b29822237c7517e3d5efa28cc48ab8473dcfdd13f",
+    "all --trials 1 --group S4 --field F5(sqrt:3)": "133de7142a26d39940c43fc48f6c02fdc09e03c4dbf255b93aa5992ff1b4ba13",
 }
 
 

@@ -123,6 +123,21 @@ def test_extension_norm_multiplicative(a, b, c, d):
     assert norm(QS3.mul(x, y)) == norm(x) * norm(y)
 
 
+@given(rationals, rationals, rationals, rationals, st.sampled_from(["x", "y", "both", "neither"]))
+def test_extension_mul_matches_the_formula(a0, a1, b0, b1, rational):
+    # zero sqrt-d parts on either side, on both sides, or on neither
+    a1 = 0 if rational in ("x", "both") else a1
+    b1 = 0 if rational in ("y", "both") else b1
+    for K in (QS3, QuadraticExtension(F7, 3)):
+        x, y = K.coerce((a0, a1)), K.coerce((b0, b1))
+        got = K.mul(x, y)
+        assert got == K.coerce((a0 * b0 + 3 * a1 * b1, a0 * b1 + a1 * b0))
+        if K.base == Q:
+            assert all(type(v) is Fraction for v in got)
+        else:
+            assert all(type(v) is int and 0 <= v < 7 for v in got)
+
+
 @pytest.mark.parametrize(
     "desc",
     ["Q", "Fp:7", "F7", "Fp:13", "Q(sqrt:3)", "Q(sqrt:-1)", "Fp:7(sqrt:3)", "Q(sqrt:1/2)"],
