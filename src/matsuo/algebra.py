@@ -102,7 +102,6 @@ class MatsuoAlgebra(SparseAlgebra):
         self.dim = fs.n
         F = field
         half_eta = F.div(eta, F.coerce(2))
-        self._half_eta = half_eta
         products = {}
         for i in range(fs.n):
             products[(i, i)] = {i: F.one_raw()}
@@ -112,7 +111,6 @@ class MatsuoAlgebra(SparseAlgebra):
                     row = {i: half_eta, j: half_eta, k: F.neg(half_eta)}
                     products[(i, j)] = row
         self.products = products
-        self._eigen_cache: dict[int, Eigendecomp] = {}
 
     # -- axes and fusion --------------------------------------------------------
 
@@ -125,9 +123,6 @@ class MatsuoAlgebra(SparseAlgebra):
         return [rows.get(c, {}) for c in range(self.dim)]
 
     def eigendecompose(self, a: int) -> Eigendecomp:
-        cached = self._eigen_cache.get(a)
-        if cached is not None:
-            return cached
         F = self.field
         rows = self.mult_matrix(a)
 
@@ -144,9 +139,7 @@ class MatsuoAlgebra(SparseAlgebra):
             raise NotSemisimple(
                 f"axis {a}: eigenspace dims 1+{len(ker0)}+{len(ker_eta)} != {self.dim}"
             )
-        dec = Eigendecomp(a, ker1, ker0, ker_eta)
-        self._eigen_cache[a] = dec
-        return dec
+        return Eigendecomp(a, ker1, ker0, ker_eta)
 
     def check_fusion(self, a: int) -> list[dict]:
         """Violations of the Jordan fusion law at axis a (empty report = pass)."""

@@ -145,10 +145,6 @@ class ModelB(SparseAlgebra):
 # -- generic verification ---------------------------------------------------
 
 
-def is_bijective(field: Field, image_cols: list[dict], dim: int) -> bool:
-    return rank(image_cols, field) == dim
-
-
 def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
     """Raise VerificationFailure unless `endo` is multiplicative on all basis
     pairs of A and bijective onto `target` (A itself when omitted)."""
@@ -160,7 +156,7 @@ def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
             lhs = endo.apply(target, A.basis_product(i, j))
             if axpy(lhs, minus_one, target.multiply(endo.cols[i], endo.cols[j]), F):
                 raise VerificationFailure(f"multiplicativity fails on basis pair {(i, j)}")
-    if A.dim != target.dim or not is_bijective(F, endo.cols, A.dim):
+    if A.dim != target.dim or rank(endo.cols, F) != A.dim:
         raise VerificationFailure("map is not bijective")
 
 
@@ -246,8 +242,8 @@ def torus_params_for_roots(B: ModelB, simple_params) -> list:
     return params
 
 
-def torus_automorphism(B: ModelB, simple_params, verify: bool = True) -> LinearEndo:
-    """The unique automorphism restricting to the given rotations on simple blocks."""
+def torus_automorphism(B: ModelB, simple_params) -> LinearEndo:
+    """The unique automorphism restricting to the given rotations on simple blocks; verified."""
     F = B.field
     params = torus_params_for_roots(B, simple_params)
     cols = [{} for _ in range(B.dim)]
@@ -259,8 +255,7 @@ def torus_automorphism(B: ModelB, simple_params, verify: bool = True) -> LinearE
         cols[x] = {k: v for k, v in xi.items() if not F.is_zero(v)}
         cols[y] = {k: v for k, v in yi.items() if not F.is_zero(v)}
     endo = LinearEndo(B.dim, cols)
-    if verify:
-        verify_automorphism(B, endo)
+    verify_automorphism(B, endo)
     return endo
 
 
@@ -408,7 +403,7 @@ def character_report(B: ModelB, simple_params) -> dict:
     if i_raw is None:
         raise AutosError(f"-1 is not a square in {F}")
     params = torus_params_for_roots(B, simple_params)
-    endo = torus_automorphism(B, simple_params, verify=False)
+    endo = torus_automorphism(B, simple_params)
     rs = B.rs
     lambdas = []
     for r, (c, s) in enumerate(params):

@@ -197,17 +197,17 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
 def cmd_verify(args) -> tuple[dict, list[dict]]:
     field, eta = _field_and_eta(args)
     try:
-        if args.group:
+        if args.group is not None:
             parse_group(args.group)
-        if args.type:
+        if args.type is not None:
             parse_root_system(args.type)
     except ValueError as e:
         raise UsageError(str(e))
     if eta != field.coerce(Fraction(1, 2)):
         raise UsageError(f"verify runs at eta = 1/2 only, got {args.eta!r}")
     rng = random.Random(args.seed)
-    groups = [args.group] if args.group else list(CATALOG)
-    types = [args.type] if args.type else ["A2", "A3"]
+    groups = [args.group] if args.group is not None else list(CATALOG)
+    types = [args.type] if args.type is not None else ["A2", "A3"]
     if args.suite in ("all", "model", "torus", "section") and sqrt_in_field(field, 3) is None:
         raise UsageError(f"suite {args.suite!r} needs a field containing sqrt(3)")
     if field.characteristic == 3:
@@ -245,8 +245,11 @@ def _emit(args, report: dict, table: list[dict]) -> None:
             lines.append(f"  [{'pass' if item['passed'] else 'FAIL'}] {item['check']}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:  # e.g. --out names a directory or a path under a file
+            raise UsageError(f"cannot write the report: {e}")
     else:
         sys.stdout.write(text)
 
@@ -304,10 +307,10 @@ def main(argv=None) -> int:
     try:
         _positive_threads()
         report, table = args.func(args)
+        _emit(args, report, table)
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    _emit(args, report, table)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 

@@ -51,18 +51,6 @@ def _param(field: Field, rng: random.Random, nontrivial: bool = False):
             return p
 
 
-def _circle_points(field: Field, count: int) -> list:
-    """Circle points of t = 1/7, 2/7, ..., skipping the t with no image or with 1 + t^2 = 0."""
-    points, k = [], 1
-    while len(points) < count:
-        try:
-            points.append(autos.pythagorean_param(field, Fraction(k, 7)))
-        except (autos.CircleRelationViolated, DivisionByZero):
-            pass
-        k += 1
-    return points
-
-
 def _diagram_flip(rs: RootSystem) -> list | None:
     """A nontrivial Dynkin diagram permutation of A_n (n >= 2) or D_n, else None."""
     n = rs.rank
@@ -125,14 +113,14 @@ def torus(field: Field, t: str, rng: random.Random, trials: int) -> tuple[bool, 
         comp = r1.compose(B, r2)
         if any(B.sub(a, b) for a, b in zip(comp.cols, r12.cols)):
             raise autos.VerificationFailure("homomorphism property failed")
-    rho = autos.torus_automorphism(
-        B, [_param(field, rng, nontrivial=True) for _ in range(rank)], verify=False
-    )
-    fixed = sum(1 for i in range(B.dim) if not B.sub(rho.cols[i], B.basis_element(i)))
-    return True, {"trials": trials, "fixed_space_dim": fixed}
+    # a block is fixed pointwise exactly when its rotation is the identity
+    draws = [_param(field, rng, nontrivial=True) for _ in range(rank)]
+    identity = (field.one_raw(), field.zero_raw())
+    moved = sum(1 for p in autos.torus_params_for_roots(B, draws) if p != identity)
+    return True, {"trials": trials, "fixed_space_dim": B.dim - 2 * moved}
 
 
-def section(field: Field, t: str, rng, trials) -> tuple[bool, dict]:
+def section(field: Field, t: str, rng: random.Random, trials) -> tuple[bool, dict]:
     """Weyl reflections and the diagram flip act on M(3^n:W); torus characters are additive."""
     rs = parse_root_system(t)
     M = _base_algebra(f"3W:{t}", field)
@@ -145,7 +133,9 @@ def section(field: Field, t: str, rng, trials) -> tuple[bool, dict]:
         detail["diagram_flip"] = True
     if sqrt_in_field(field, -1) is None or sqrt_in_field(field, 3) is None:
         return True, detail
-    rep = autos.character_report(autos.ModelB(rs, field), _circle_points(field, rs.rank))
+    # every draw gives one verdict: c - i s is a character, and e_a e_b involves no torus
+    params = [_param(field, rng, nontrivial=True) for _ in range(rs.rank)]
+    rep = autos.character_report(autos.ModelB(rs, field), params)
     detail["character_additivity"] = rep["additive"]
     detail["pair_products_proportional"] = rep["pair_products_proportional"]
     return rep["additive"] and rep["pair_products_proportional"], detail

@@ -11,10 +11,10 @@ from matsuo.autos import (
     ModelB,
     NoSqrt3,
     NotRootAutomorphism,
+    VerificationFailure,
     ZeroSumJordan,
     character_report,
     diagram_automorphism_matrix,
-    is_bijective,
     model_b_iso,
     pythagorean_param,
     root_automorphism,
@@ -28,6 +28,7 @@ from matsuo.autos import (
 from matsuo.deriv import LinearEndo
 from matsuo.fields import PrimeField, Rationals, parse_field, sqrt_in_field
 from matsuo.fischer import space_of
+from matsuo.linalg import rank
 from matsuo.roots import parse_root_system
 from matsuo.transpo import parse_group
 
@@ -279,7 +280,7 @@ def test_symmetric_model_iso_verified(desc, field):
     M = _matsuo(desc, field)
     Z, cols = symmetric_model_iso(M)
     assert Z.dim == M.dim
-    assert is_bijective(field, cols, M.dim)
+    assert rank(cols, field) == M.dim
 
 
 def test_zero_sum_jordan_rejects_bad_characteristic():
@@ -320,3 +321,12 @@ def test_identity_torus_has_trivial_characters():
     B = ModelB(parse_root_system("A2"), F13)
     rep = character_report(B, [(F13.one_raw(), F13.zero_raw())] * 2)
     assert set(rep["eigenvalues"]) == {"1"}
+
+
+def test_character_report_verifies_the_torus_map():
+    B = ModelB(parse_root_system("A2"), F13)
+    x_a_x_b = B.products[(1, 4)]  # x of alpha_1 times x of alpha_2
+    assert x_a_x_b
+    B.products[(1, 4)] = {k: F13.add(v, v) for k, v in x_a_x_b.items()}
+    with pytest.raises(VerificationFailure):
+        character_report(B, [pythagorean_param(F13, 2)] * 2)

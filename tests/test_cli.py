@@ -107,12 +107,14 @@ def test_verify_all_small_field(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the fixed parameters t = k/7 include a root of 1 + t^2 in these fields
+        # section draws its parameters as torus does: at seed 0 it skips t = 4/7 and
+        # 3/2 (1 + t^2 = 0 in F13); over F37 the draws miss t = +-6, and
+        # test_verify.py::test_param_skips_points_not_on_the_circle covers that skip
         ["section", "--type", "D4", "--field", "F13"],
         ["section", "--type", "D5", "--field", "F37"],
         # the seeded draws t = a/b include b = 11, which has no inverse in F11
         ["torus", "--type", "A2", "--field", "F11", "--trials", "3"],
-        # every t = k/7 with 7 not dividing k has no image in characteristic 7
+        # the first draw at seed 0, t = 4/7, has no image in characteristic 7
         ["section", "--type", "A2", "--field", "F7(sqrt:3)"],
     ],
 )
@@ -121,6 +123,12 @@ def test_verify_skips_parameters_with_no_circle_point(capsys, argv):
     assert code == EXIT_OK
     (entry,) = doc["results"]["checks"]
     assert entry["passed"]
+
+
+def test_section_report_does_not_depend_on_the_seed(capsys):
+    argv = ["verify", "section", "--type", "A3", "--field", "F13", "--seed"]
+    docs = [run_json([*argv, str(seed)], capsys)[1] for seed in range(4)]
+    assert docs[0]["passed"] and all(d["results"] == docs[0]["results"] for d in docs)
 
 
 def test_verify_failed_check_exits_1(monkeypatch, capsys):
@@ -191,6 +199,9 @@ def test_usage_errors_exit_2(capsys):
         ["classify-lines", "S3", "--field", "Fp:4"],
         ["build", "S3", "--field", "Q(sqrt:1/0)"],
         ["build", "S3", "--field", "F5(sqrt:1/5)"],  # 1/5 has no image in F5
+        ["build", "S4", "--out", "/dev/null/x"],  # the report cannot be written
+        ["verify", "fusion", "--group", "", "--field", "F13"],  # not the whole catalog
+        ["verify", "torus", "--type", "", "--field", "F13"],
     ],
 )
 def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):

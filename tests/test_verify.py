@@ -12,7 +12,7 @@ import pytest
 from matsuo import autos, verify
 from matsuo.algebra import MatsuoAlgebra
 from matsuo.deriv import LinearEndo, derivation_basis
-from matsuo.fields import PrimeField, QuadraticExtension, Rationals
+from matsuo.fields import DivisionByZero, PrimeField, QuadraticExtension, Rationals
 from matsuo.fischer import space_of
 from matsuo.roots import parse_root_system
 from matsuo.transpo import CATALOG, parse_group
@@ -71,3 +71,31 @@ def test_root_automorphism_verdicts_agree_over_q_and_q_sqrt3(t):
         verdicts.append(_verdict(autos.verify_automorphism, A, over_q))
         assert _verdict(autos.verify_automorphism, K, over_k) == verdicts[-1]
     assert {"pass", "NotRootAutomorphism", "VerificationFailure"} <= set(verdicts)
+
+
+@pytest.mark.parametrize(
+    "field,seed",
+    [(PrimeField(13), 0), (PrimeField(37), 14), (QuadraticExtension(PrimeField(7), 3), 0)],
+)
+def test_param_skips_points_not_on_the_circle(field, seed):
+    # the first t = a/b drawn at this seed has 1 + t^2 = 0, or b = 7 in characteristic 7
+    rng = random.Random(seed)
+    t = Fraction(rng.randrange(-20, 21), rng.randrange(1, 12))
+    with pytest.raises((autos.CircleRelationViolated, DivisionByZero)):
+        autos.pythagorean_param(field, t)
+    c, s = verify._param(field, random.Random(seed))
+    assert field.add(field.mul(c, c), field.mul(s, s)) == field.one_raw()
+
+
+@pytest.mark.parametrize("t,fixed", [("A2", 5), ("A3", 10)])
+def test_torus_fixed_space_dim_counts_identity_rotations(monkeypatch, t, fixed):
+    F13 = PrimeField(13)
+    rho = autos.pythagorean_param(F13, 2)
+    draws = [rho, autos.so2_inv(F13, rho), rho]  # alpha_1 + alpha_2 rotates by the identity
+    stream = iter(draws)
+    monkeypatch.setattr(verify, "_param", lambda field, rng, nontrivial=False: next(stream))
+    passed, detail = verify.torus(F13, t, random.Random(0), 0)
+    assert passed and detail["fixed_space_dim"] == fixed
+    B = autos.ModelB(parse_root_system(t), F13)
+    endo = autos.torus_automorphism(B, draws[: B.rs.rank])
+    assert sum(1 for i in range(B.dim) if not B.sub(endo.cols[i], B.basis_element(i))) == fixed
