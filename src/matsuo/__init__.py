@@ -8,7 +8,7 @@ two exceptional families.
 
 __version__ = "1.0.0"
 
-from .algebra import MatsuoAlgebra, build_matsuo
+from .algebra import MatsuoAlgebra
 from .fields import Field, FieldElement, parse_field, sqrt_in_field
 from .fischer import FischerSpace, space_of
 from .roots import RootSystem, parse_root_system
@@ -23,7 +23,6 @@ __all__ = [
     "RootSystem",
     "TranspoGroup",
     "__version__",
-    "build_matsuo",
     "parse_field",
     "parse_group",
     "parse_root_system",

@@ -1,8 +1,6 @@
-"""Matsuo algebras: construction, multiplication, axes, fusion law, projection graph."""
+"""Matsuo algebras: construction, multiplication, axes and the fusion law."""
 
 from __future__ import annotations
-
-import json
 
 from .fields import Field, field_name
 from .fischer import FischerSpace
@@ -18,10 +16,6 @@ class BadEta(AlgebraError):
 
 
 class BadCharacteristic(AlgebraError):
-    pass
-
-
-class MixedAlgebras(AlgebraError):
     pass
 
 
@@ -69,9 +63,6 @@ class SparseAlgebra:
                 if prod:
                     axpy(out, F.mul(xi, yj), prod, F)
         return out
-
-    def add(self, x: dict, y: dict) -> dict:
-        return axpy(dict(x), self.field.one_raw(), y, self.field)
 
     def scale(self, c, x: dict) -> dict:
         F = self.field
@@ -172,75 +163,17 @@ class MatsuoAlgebra(SparseAlgebra):
                         )
         return violations
 
-    def phi(self, a: int, b: int):
-        """Coefficient of a in the eigendecomposition of axis b w.r.t. a.
-
-        Uses the exact projection P_1 = L_a (L_a - eta) / (1 - eta) onto the
-        1-eigenspace of the axis a.
-        """
-        F = self.field
-        e_a, e_b = self.basis_element(a), self.basis_element(b)
-        v = self.multiply(e_a, e_b)
-        v = self.sub(self.multiply(e_a, v), self.scale(self.eta, v))
-        denom = F.sub(F.one_raw(), self.eta)
-        coeff = v.get(a, F.zero_raw())
-        return F.div(coeff, denom)
-
-    def projection_graph(self) -> list[tuple[int, int]]:
-        F = self.field
-        edges = []
-        for a in range(self.dim):
-            for b in range(self.dim):
-                if a != b and not F.is_zero(self.phi(a, b)):
-                    edges.append((a, b))
-        return edges
-
-    def is_connected_algebra(self) -> bool:
-        """Strong connectivity of the projection graph."""
-        n = self.dim
-        if n <= 1:
-            return True
-        succ = [[] for _ in range(n)]
-        pred = [[] for _ in range(n)]
-        for a, b in self.projection_graph():
-            succ[a].append(b)
-            pred[b].append(a)
-
-        def reach(start, nbrs):
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in nbrs[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            return seen
-
-        return len(reach(0, succ)) == n and len(reach(0, pred)) == n
-
-    # -- direct sums -------------------------------------------------------------
-
-    def direct_sum(self, other: "MatsuoAlgebra") -> "MatsuoAlgebra":
-        if other.field != self.field or other.eta != self.eta:
-            raise MixedAlgebras("direct sum needs matching field and eta")
-        return MatsuoAlgebra(self.fs.union(other.fs), self.eta, self.field)
-
     # -- serialization -------------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """Field, eta, basis labels and the nonzero products, scalars as strings."""
         F = self.field
         prods = []
         for (i, j), row in sorted(self.products.items()):
             prods.append([i, j, [[k, F.format(v)] for k, v in sorted(row.items())]])
-        doc = {
+        return {
             "field": field_name(F),
             "eta": F.format(self.eta),
             "basis": list(self.fs.labels),
             "products": prods,
         }
-        return json.dumps(doc, sort_keys=True)
-
-
-def build_matsuo(fs: FischerSpace, eta, field: Field) -> MatsuoAlgebra:
-    return MatsuoAlgebra(fs, eta, field)

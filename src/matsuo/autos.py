@@ -135,12 +135,6 @@ class ModelB(SparseAlgebra):
             out[3 * r + 2] = ny
         return out
 
-    def bilinear_form(self, r: int):
-        """The Gram matrix entries of b on (x_r, y_r): ((9/2, 0), (0, 9/2))."""
-        F = self.field
-        nine_half = F.div(F.coerce(9), F.coerce(2))
-        return ((nine_half, F.zero_raw()), (F.zero_raw(), nine_half))
-
 
 # -- generic verification ---------------------------------------------------
 
@@ -198,10 +192,6 @@ def so2_mul(field: Field, a, b):
         F.sub(F.mul(c1, c2), F.mul(s1, s2)),
         F.add(F.mul(c1, s2), F.mul(s1, c2)),
     )
-
-
-def so2_inv(field: Field, a):
-    return (a[0], field.neg(a[1]))
 
 
 def check_circle(field: Field, param) -> None:
@@ -327,9 +317,6 @@ class ZeroSumJordan:
     def __init__(self, n: int, field: Field):
         if n < 2:
             raise ValueError("need n >= 2")
-        p = field.characteristic
-        if p and (2 * n) % p == 0:
-            raise BadCharacteristic("char k must not divide 2n")
         self.n = n
         self.field = field
 
@@ -402,12 +389,13 @@ def character_report(B: ModelB, simple_params) -> dict:
     i_raw = F.sqrt_raw(F.coerce(-1))
     if i_raw is None:
         raise AutosError(f"-1 is not a square in {F}")
-    params = torus_params_for_roots(B, simple_params)
     endo = torus_automorphism(B, simple_params)
     rs = B.rs
     lambdas = []
-    for r, (c, s) in enumerate(params):
+    for r in range(len(rs.positive_roots)):
         x, y = 3 * r + 1, 3 * r + 2
+        # the verified map sends x_r to c x_r + s y_r
+        c, s = endo.cols[x].get(x, F.zero_raw()), endo.cols[x].get(y, F.zero_raw())
         e_vec = {x: F.one_raw(), y: i_raw}
         f_vec = {x: F.one_raw(), y: F.neg(i_raw)}
         lam = F.sub(c, F.mul(i_raw, s))

@@ -102,7 +102,7 @@ def cmd_build(args) -> tuple[dict, list[dict]]:
         vertical = [l for l in fs.lines if fs.line_orbit_class(l) == "vertical"]
         results["vertical_lines"] = len(vertical)
     if args.products:
-        results["algebra"] = json.loads(A.to_json())
+        results["algebra"] = A.to_dict()
     table = [
         {"line": i, "points": " ".join(fs.labels[p] for p in line)}
         for i, line in enumerate(fs.lines)

@@ -26,15 +26,6 @@ class LinearEndo:
         self.cols = cols
 
     @classmethod
-    def zero(cls, dim: int) -> "LinearEndo":
-        return cls(dim, [{} for _ in range(dim)])
-
-    @classmethod
-    def identity(cls, A: MatsuoAlgebra) -> "LinearEndo":
-        one = A.field.one_raw()
-        return cls(A.dim, [{a: one} for a in range(A.dim)])
-
-    @classmethod
     def from_vector(cls, dim: int, vec: dict) -> "LinearEndo":
         cols = [{} for _ in range(dim)]
         for u, v in vec.items():

@@ -1,48 +1,23 @@
-"""Point-line geometry of a 3-transposition group: closures, planes, near-solid lines."""
+"""Point-line geometry of a 3-transposition group: closures, components, near-solid lines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-
 from .transpo import TranspoGroup
 
-
-class FischerAxiomViolation(Exception):
-    """A connected 3-point closure whose size is not in {1, 3, 6, 9}."""
-
-
-class PlaneType(Enum):
-    DEGENERATE = "degenerate"
-    LINE = "line"
-    DUAL_AFFINE_2 = "dual_affine_2"
-    AFFINE_3 = "affine_3"
-
-
-@dataclass(frozen=True)
-class FourGenType:
-    kind: str  # "S5" | "WD4" | "AffA3" | "Mou3" | "ThreeGen" | "Unknown"
-    plane: PlaneType | None = None
-    size: int = 0
-
-    def __str__(self):
-        if self.kind == "ThreeGen":
-            return f"ThreeGen({self.plane.value})"
-        if self.kind == "Unknown":
-            return f"Unknown({self.size})"
-        return self.kind
-
-
-# realizable connected closure sizes are pairwise distinct within the catalog
-_SIZE_TO_TYPE = {10: "S5", 12: "WD4", 18: "AffA3", 27: "Mou3"}
-_PLANE_SIZES = {1: PlaneType.DEGENERATE, 3: PlaneType.LINE, 6: PlaneType.DUAL_AFFINE_2, 9: PlaneType.AFFINE_3}
+# a connected closure is named by its size: 1, 3, 6 and 9 are the 3-generated
+# ones (point, line, dual affine plane, affine plane), and the other realizable
+# sizes are pairwise distinct within the catalog
+_SIZE_TO_TYPE = {
+    1: "ThreeGen", 3: "ThreeGen", 6: "ThreeGen", 9: "ThreeGen",
+    10: "S5", 12: "WD4", 18: "AffA3", 27: "Mou3",
+}
 
 
 class FischerSpace:
     """Partial linear space with lines {a, b, b^a} over noncommuting pairs.
 
-    Stands alone from the group so that disjoint unions (for direct-sum
-    algebras) are representable; `third[i][j]` is -1 for non-collinear pairs.
+    `third[i][j]` is the third point of the line through i and j, or -1 for
+    non-collinear pairs.
     """
 
     def __init__(self, n, third, labels, family, payloads=None, group=None):
@@ -75,12 +50,6 @@ class FischerSpace:
 
     def collinear(self, i: int, j: int) -> bool:
         return self.third[i][j] >= 0
-
-    def line_through(self, i: int, j: int) -> tuple[int, int, int]:
-        k = self.third[i][j]
-        if k < 0:
-            raise ValueError("points are not collinear")
-        return tuple(sorted((i, j, k)))
 
     # -- closures -----------------------------------------------------------
 
@@ -128,34 +97,9 @@ class FischerSpace:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    # -- classification -----------------------------------------------------
-
-    def plane_type(self, triple) -> PlaneType:
-        pts = set(triple)
-        if len(pts) != len(tuple(triple)):
-            raise ValueError("plane_type needs pairwise distinct points")
-        c = self.closure(pts)
-        if len(c) in _PLANE_SIZES:
-            return _PLANE_SIZES[len(c)]
-        if self.component_of(c, next(iter(pts))) == c:
-            raise FischerAxiomViolation(
-                f"connected 3-point closure of size {len(c)}"
-            )
-        raise ValueError("seed does not span a plane (closure is disconnected)")
-
-    def four_gen_type(self, seeds) -> FourGenType:
-        seeds = tuple(seeds)
-        c = self.closure(seeds)
-        comp = self.component_of(c, seeds[0])
-        return self._component_type(comp)
-
-    def _component_type(self, comp: frozenset) -> FourGenType:
-        size = len(comp)
-        if size in _PLANE_SIZES:
-            return FourGenType("ThreeGen", plane=_PLANE_SIZES[size], size=size)
-        if size in _SIZE_TO_TYPE:
-            return FourGenType(_SIZE_TO_TYPE[size], size=size)
-        return FourGenType("Unknown", size=size)
+    def _component_type(self, comp: frozenset) -> str:
+        """The witness name of a connected closure, read off its size."""
+        return _SIZE_TO_TYPE.get(len(comp), f"Unknown({len(comp)})")
 
     # -- near-solid machinery ------------------------------------------------
 
@@ -199,11 +143,11 @@ class FischerSpace:
                     continue  # closure is 3-generated or less on top of the line
                 comp = self.component_of(self.closure(lset | {c, d}), a)
                 t = self._component_type(comp)
-                if t.kind in ("ThreeGen", "S5"):
+                if t in ("ThreeGen", "S5"):
                     continue
-                if t.kind == "AffA3" and self._is_vertical_in(line, comp):
+                if t == "AffA3" and self._is_vertical_in(line, comp):
                     continue
-                return False, {"type": str(t), "points": sorted(comp)}
+                return False, {"type": t, "points": sorted(comp)}
         return True, None
 
     def line_orbits(self) -> list[list[int]]:
@@ -231,20 +175,6 @@ class FischerSpace:
                         orbit.append(j)
             orbits.append(sorted(orbit))
         return orbits
-
-    def union(self, other: "FischerSpace") -> "FischerSpace":
-        """Disjoint union (geometry of a direct product of groups)."""
-        n = self.n + other.n
-        third = [[-1] * n for _ in range(n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                third[i][j] = self.third[i][j]
-        for i in range(other.n):
-            for j in range(other.n):
-                t = other.third[i][j]
-                third[self.n + i][self.n + j] = t + self.n if t >= 0 else -1
-        labels = [f"L.{s}" for s in self.labels] + [f"R.{s}" for s in other.labels]
-        return FischerSpace(n, third, labels, "sum")
 
 
 def space_of(g: TranspoGroup) -> FischerSpace:

@@ -114,14 +114,6 @@ def nullspace(rows, ncols: int, field: Field) -> list[dict]:
     return basis
 
 
-def in_span(vectors, target: dict, field: Field) -> bool:
-    """Whether target lies in the span of the given sparse vectors."""
-    ech = Echelon(field)
-    for v in vectors:
-        ech.insert(v)
-    return ech.contains(target)
-
-
 def rational_lift(a: int, p: int) -> Fraction | None:
     """The fraction n/d = a mod p with |n|, d <= sqrt(p/2), unique if any, or None.
 

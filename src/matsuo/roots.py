@@ -117,12 +117,3 @@ def parse_root_system(desc: str) -> RootSystem:
     if len(desc) < 2 or desc[0] not in "ADE" or not desc[1:].isdigit():
         raise ValueError(f"cannot parse root system descriptor {desc!r}")
     return build_root_system(desc[0], int(desc[1:]))
-
-
-def positive_root_count(type_name: str, rank: int) -> int:
-    """Classical |Phi^+| counts, used as an independent cross-check."""
-    if type_name == "A":
-        return rank * (rank + 1) // 2
-    if type_name == "D":
-        return rank * (rank - 1)
-    return {6: 36, 7: 63, 8: 120}[rank]

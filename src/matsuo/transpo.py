@@ -25,15 +25,6 @@ class TranspoGroup:
     def size(self) -> int:
         return len(self.points)
 
-    def conjugate(self, i: int, j: int) -> int:
-        return self.conj[i][j]
-
-    def order(self, i: int, j: int) -> int:
-        """o(ab) for the transpositions at indices i, j."""
-        if i == j:
-            return 1
-        return 3 if self.conj[i][j] != i else 2
-
     def collinear(self, i: int, j: int) -> bool:
         return i != j and self.conj[i][j] != i
 

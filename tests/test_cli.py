@@ -312,6 +312,21 @@ def test_derive_report_bytes_are_pinned(capsys, group, field):
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_GOLDEN[(group, field)]
 
 
+# sha256 of `build <group> --products --field <field> --json`, recorded while
+# the product table still went through a JSON string and back
+BUILD_GOLDEN = {
+    ("S3", "Q(sqrt:3)"): "6c4a109bb9e92491ae19456220762a1fb60e7773ba51c5cf97573a47e596732d",
+    ("3W:A2", "Q"): "987bf9bdac330eb48bf870e012e8bb0e77da0cf45a0afb0f64765c30e2b0eb6a",
+}
+
+
+@pytest.mark.parametrize("group,field", sorted(BUILD_GOLDEN))
+def test_build_products_report_bytes_are_pinned(capsys, group, field):
+    code, out, _ = run(["build", group, "--field", field, "--products", "--json"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_GOLDEN[(group, field)]
+
+
 # sha256 of `classify-lines <group> --json` and `--csv`, recorded while every
 # line was still tested on its own: the orbit route must not move a byte
 CLASSIFY_GOLDEN = {

@@ -1,12 +1,12 @@
-"""Fischer space geometry: closures, planes, line orbits, near-solid lines."""
+"""Fischer space geometry: closures, components, line orbits, near-solid lines."""
 
 from fractions import Fraction
 
 import pytest
 
-from matsuo.algebra import build_matsuo
+from matsuo.algebra import MatsuoAlgebra
 from matsuo.fields import Rationals
-from matsuo.fischer import FischerSpace, PlaneType, space_of
+from matsuo.fischer import FischerSpace, space_of
 from matsuo.transpo import CATALOG, parse_group
 
 
@@ -40,10 +40,11 @@ def test_catalog_spaces_connected(desc):
     assert _space(desc).is_connected()
 
 
-def test_union_has_two_components():
-    fs = _space("S4").union(_space("M3:2"))
-    assert len(fs.components()) == 2
-    assert not fs.is_connected()
+def test_commuting_points_are_two_components():
+    fs = _space("S4")
+    a, b = fs.labels.index("(12)"), fs.labels.index("(34)")
+    assert fs.components({a, b}) == [frozenset({a}), frozenset({b})]
+    assert not FischerSpace(2, [[-1, -1], [-1, -1]], ["p", "q"], "none").is_connected()
 
 
 def test_closure_of_collinear_pair_is_line():
@@ -56,7 +57,6 @@ def test_two_intersecting_lines_in_s4_span_dual_affine_plane():
     fs = _space("S4")
     # (12),(13),(14) pairwise intersect in distinct lines
     pts = [fs.labels.index(s) for s in ("(12)", "(13)", "(14)")]
-    assert fs.plane_type(pts) == PlaneType.DUAL_AFFINE_2
     assert len(fs.closure(pts)) == 6
 
 
@@ -64,29 +64,23 @@ def test_two_intersecting_lines_in_moufang_span_affine_plane():
     fs = _space("M3:2")
     g = fs.group
     pts = [g.points.index(v) for v in ((0, 0), (1, 0), (0, 1))]
-    assert fs.plane_type(pts) == PlaneType.AFFINE_3
     assert len(fs.closure(pts)) == 9
 
 
-def test_plane_type_line_and_degenerate():
-    fs = _space("S5")
-    assert fs.plane_type(fs.lines[0]) == PlaneType.LINE
-    with pytest.raises(ValueError):
-        fs.plane_type((0, 0, 1))
-
-
 def test_four_gen_fingerprints():
-    wd4 = _space("W:D4")
-    assert wd4.four_gen_type(range(4)).kind in ("WD4", "ThreeGen")
-    assert wd4.four_gen_type(range(wd4.n)).kind == "WD4"
-    aff = _space("3W:A3")
-    assert aff.four_gen_type(range(aff.n)).kind == "AffA3"
-    mou = _space("M3:3")
-    assert mou.four_gen_type(range(mou.n)).kind == "Mou3"
-    s5 = _space("S5")
-    assert s5.four_gen_type(range(s5.n)).kind == "S5"
-    t = s5.four_gen_type(s5.lines[0])
-    assert t.kind == "ThreeGen" and t.plane == PlaneType.LINE
+    """Four generators span each of these spaces, and its size names its type."""
+    for desc, seeds, kind in [
+        ("S5", [(1, 2), (2, 3), (3, 4), (4, 5)], "S5"),
+        ("W:D4", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], "WD4"),
+        ("3W:A3", [(0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1)), (1, (1, 0, 0))], "AffA3"),
+        ("M3:3", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], "Mou3"),
+    ]:
+        fs = _space(desc)
+        span = fs.closure(fs.group.points.index(p) for p in seeds)
+        assert len(span) == fs.n, desc
+        assert fs._component_type(span) == kind
+        assert fs._component_type(fs.closure(fs.lines[0])) == "ThreeGen"
+    assert fs._component_type(frozenset(range(5))) == "Unknown(5)"
 
 
 @pytest.mark.parametrize("desc,vertical", [("3W:A2", 3), ("3W:A3", 6), ("3W:D4", 12)])
@@ -142,12 +136,12 @@ def test_near_solid_plane_homogeneity():
             for p in range(fs.n):
                 if p in line:
                     continue
-                try:
-                    t = fs.plane_type((line[0], line[1], p))
-                except ValueError:
-                    continue  # p lies in a different component of the closure
-                if t != PlaneType.LINE:
-                    types.add(t)
+                closure = fs.closure((line[0], line[1], p))
+                if len(closure) in (6, 9):  # a plane
+                    types.add(len(closure))
+                else:  # p off the line's component; else the plane axiom fails
+                    assert len(closure) == 4, (desc, line, p, len(closure))
+                    assert len(fs.components(closure)) == 2, (desc, line, p)
             assert len(types) <= 1, (desc, line, types)
 
 
@@ -261,8 +255,8 @@ def test_affine_weyl_a2_is_the_moufang_plane():
     f = _line_isomorphism(aw, mou)
     assert f is not None and sorted(f) == list(range(9))
     Q = Rationals()
-    A = build_matsuo(aw, Fraction(1, 2), Q)
-    B = build_matsuo(mou, Fraction(1, 2), Q)
+    A = MatsuoAlgebra(aw, Fraction(1, 2), Q)
+    B = MatsuoAlgebra(mou, Fraction(1, 2), Q)
     for i in range(9):
         for j in range(i, 9):
             mapped = {f[k]: v for k, v in A.basis_product(i, j).items()}

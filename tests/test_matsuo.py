@@ -1,6 +1,5 @@
 """Matsuo algebra products, eigendecompositions, fusion law, projection graph."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -11,11 +10,10 @@ from matsuo.algebra import (
     BadCharacteristic,
     BadEta,
     MatsuoAlgebra,
-    MixedAlgebras,
-    build_matsuo,
 )
 from matsuo.fields import PrimeField, Rationals, parse_field
 from matsuo.fischer import space_of
+from matsuo.linalg import axpy
 from matsuo.transpo import CATALOG, parse_group
 
 Q = Rationals()
@@ -24,7 +22,7 @@ HALF = Fraction(1, 2)
 
 
 def _alg(desc, field=Q, eta=HALF):
-    return build_matsuo(space_of(parse_group(desc)), field.coerce(eta), field)
+    return MatsuoAlgebra(space_of(parse_group(desc)), field.coerce(eta), field)
 
 
 def test_product_rule_cases():
@@ -63,8 +61,8 @@ def test_multiply_is_bilinear_and_commutative():
         y = {rng.randrange(A.dim): Fraction(rng.randint(-3, 3)) for _ in range(3)}
         z = {rng.randrange(A.dim): Fraction(rng.randint(-3, 3)) for _ in range(3)}
         assert A.multiply(x, y) == A.multiply(y, x)
-        lhs = A.multiply(A.add(x, y), z)
-        rhs = A.add(A.multiply(x, z), A.multiply(y, z))
+        lhs = A.multiply(axpy(dict(x), Fraction(1), y, Q), z)
+        rhs = axpy(A.multiply(x, z), Fraction(1), A.multiply(y, z), Q)
         assert A.sub(lhs, rhs) == {}
         assert A.multiply(x, {}) == {}
 
@@ -128,38 +126,48 @@ def test_perturbed_structure_constants_violate_fusion():
     assert violations
 
 
+def _projection(A, a, b):
+    """P e_b for P = L_a (L_a - eta) / (1 - eta), which kills the 0- and
+    eta-eigenspaces of the axis a and fixes its 1-eigenspace."""
+    F = A.field
+    e_a = A.basis_element(a)
+    v = A.multiply(e_a, A.basis_element(b))
+    v = A.sub(A.multiply(e_a, v), A.scale(A.eta, v))
+    return A.scale(F.inv(F.sub(F.one_raw(), A.eta)), v)
+
+
 def test_phi_values():
+    """phi(a, b), the e_a-coordinate of e_b in the eigenspaces of the axis a, is
+    1, eta/2 or 0 as b is a, collinear with a or commuting with it."""
     A = _alg("S4")
     for a in range(A.dim):
+        assert A.eigendecompose(a).space_1 == [A.basis_element(a)]
         for b in range(A.dim):
+            phi = _projection(A, a, b)
             if a == b:
-                assert A.phi(a, b) == 1
+                assert phi == {a: 1}
             elif A.fs.collinear(a, b):
-                assert A.phi(a, b) == Fraction(1, 4)  # eta/2
+                assert phi == {a: Fraction(1, 4)}  # eta/2
             else:
-                assert A.field.is_zero(A.phi(a, b))
+                assert phi == {}
 
 
 @pytest.mark.parametrize("desc", CATALOG)
 def test_projection_graph_connected_on_catalog(desc):
-    assert _alg(desc).is_connected_algebra()
-
-
-def test_direct_sum_blocks_and_disconnection():
-    A, B = _alg("S3"), _alg("S3")
-    S = A.direct_sum(B)
-    assert S.dim == A.dim + B.dim
-    assert len(S.fs.components()) == 2
-    assert not S.is_connected_algebra()
-    # cross products vanish
-    assert S.basis_product(0, A.dim) == {}
-    with pytest.raises(MixedAlgebras):
-        A.direct_sum(_alg("S3", eta=Fraction(1, 3)))
+    """phi(a, b) != 0 exactly on collinear pairs, so the projection graph is the
+    collinearity graph, and that is connected."""
+    A = _alg(desc)
+    for a in range(A.dim):
+        for b in range(A.dim):
+            phi = _projection(A, a, b)
+            assert set(phi) <= {a}
+            assert bool(phi) == (a == b or A.fs.collinear(a, b))
+    assert A.fs.is_connected()
 
 
 def test_json_export_shape():
     A = _alg("S3", field=parse_field("Q(sqrt:3)"))
-    doc = json.loads(A.to_json())
+    doc = A.to_dict()
     assert doc["field"] == "Q(sqrt:3)"
     assert doc["eta"] == "1/2+0*sqrt3"
     assert doc["basis"] == ["(12)", "(13)", "(23)"]

@@ -91,7 +91,7 @@ def test_param_skips_points_not_on_the_circle(field, seed):
 def test_torus_fixed_space_dim_counts_identity_rotations(monkeypatch, t, fixed):
     F13 = PrimeField(13)
     rho = autos.pythagorean_param(F13, 2)
-    draws = [rho, autos.so2_inv(F13, rho), rho]  # alpha_1 + alpha_2 rotates by the identity
+    draws = [rho, (rho[0], F13.neg(rho[1])), rho]  # alpha_1 + alpha_2 rotates by the identity
     stream = iter(draws)
     monkeypatch.setattr(verify, "_param", lambda field, rng, nontrivial=False: next(stream))
     passed, detail = verify.torus(F13, t, random.Random(0), 0)
