@@ -5,13 +5,18 @@ eta), and the sparse relation system specific to eta = 1/2.  Unknowns are
 the coefficients d(a)_b, indexed column-major as a * dim + b (a the argument
 point, b the image coordinate).
 
-Over Q both are solved modulo the prime MODULUS and certified exactly over Q,
-with the solve over Q as the fallback (see `_lifted_basis`).
+Over Q both systems are built once, as integer rows: the (R1)-(R7) rows are
+integral, and the Leibniz rows come from the structure constants with their
+denominators cleared.  Those rows are solved modulo the prime MODULUS, and
+the lifted basis is certified against the same rows in Python ints, with the
+solve over Q as the fallback (see `_lifted_basis`).
 """
 
 from __future__ import annotations
 
-from .algebra import BadEta, MatsuoAlgebra
+import math
+
+from .algebra import BadEta, MatsuoAlgebra, SparseAlgebra
 from .fields import DivisionByZero, PrimeField, Rationals
 from .linalg import axpy, dot, nullspace as _nullspace, rank, rational_lift
 
@@ -79,11 +84,14 @@ def is_derivation(A: MatsuoAlgebra, d: LinearEndo) -> bool:
     return not leibniz_residual(A, d)
 
 
-def build_leibniz_system(A: MatsuoAlgebra) -> list[dict]:
-    """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule."""
+def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
+    """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule.
+
+    Only the field's add, neg and is_zero are used, so on an `_IntegerTable`
+    the rows come out as integer rows.
+    """
     F = A.field
     n = A.dim
-    minus_one = F.neg(F.one_raw())
     rows = []
     for a in range(n):
         for b in range(a, n):
@@ -100,12 +108,36 @@ def build_leibniz_system(A: MatsuoAlgebra) -> list[dict]:
             if a == b:
                 for c in byc:
                     byc[c] = {u: F.add(v, v) for u, v in byc[c].items()}
-            ab = A.basis_product(a, b)
-            if ab:
+            # -d(ab): u[x,c] is already present only for x in (a, b), at y = c
+            for x, w in A.basis_product(a, b).items():
+                w = F.neg(w)
                 for c in range(n):
-                    axpy(byc.setdefault(c, {}), minus_one, {x * n + c: w for x, w in ab.items()}, F)
+                    row = byc.setdefault(c, {})
+                    u = x * n + c
+                    v = F.add(row[u], w) if u in row else w
+                    if F.is_zero(v):
+                        del row[u]
+                    else:
+                        row[u] = v
             rows.extend(r for r in byc.values() if r)
     return rows
+
+
+class _IntegerTable(SparseAlgebra):
+    """The structure constants of A over Q times L, the lcm of their denominators.
+
+    The entries are ints, on which Q's add, neg and is_zero stay in the ints,
+    so `build_leibniz_system` on this table yields integer rows.  Leibniz rows
+    are linear in the product, so these are L times the rows over Q.
+    """
+
+    def __init__(self, A: MatsuoAlgebra):
+        self.field = A.field
+        self.dim = A.dim
+        self.scale = math.lcm(*(v.denominator for p in A.products.values() for v in p.values()))
+        self.products = {
+            ij: {k: int(v * self.scale) for k, v in p.items()} for ij, p in A.products.items()
+        }
 
 
 def r_relations(fs):
@@ -177,8 +209,10 @@ def require_eta_half(A: MatsuoAlgebra) -> None:
 
 
 def build_r_system(A: MatsuoAlgebra) -> list[dict]:
-    """The rows of `r_relations` over the field of A."""
+    """The rows of `r_relations` over the field of A; over Q they stay integer rows."""
     require_eta_half(A)
+    if isinstance(A.field, Rationals):
+        return list(r_relations(A.fs))
     coerce = A.field.coerce
     return [{u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs)]
 
@@ -201,7 +235,10 @@ def nullspace_endos(A: MatsuoAlgebra, rows) -> list[LinearEndo]:
 
 
 def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
-    return build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
+    """The Leibniz or the (R1)-(R7) rows of A; over Q, integer rows."""
+    if system == "r":
+        return build_r_system(A)
+    return build_leibniz_system(_IntegerTable(A) if isinstance(A.field, Rationals) else A)
 
 
 def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
@@ -220,34 +257,38 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEn
 def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
     """The basis over Q found modulo MODULUS and checked exactly, or None.
 
-    The nullspace over F_p is lifted entrywise by rational reconstruction.
-    The k lifted vectors are independent, as each is 1 on its own free column
-    and 0 on the others.  If each also solves the system over Q, they span
-    its nullspace, since rank_p <= rank_Q bounds nullity_Q by k.
+    The system is built once, as integer rows, and solved over F_p as it
+    stands: every `PrimeField` operation reduces its result.  The nullspace is
+    lifted entrywise by rational reconstruction.  The k lifted vectors are
+    independent, as each is 1 on its own free column and 0 on the others.  If
+    each, with its denominators cleared, is orthogonal to every integer row,
+    they span the nullspace over Q, since rank_p <= rank_Q bounds nullity_Q by k.
     """
     Fp = PrimeField(MODULUS)
     try:
-        Ap = MatsuoAlgebra(A.fs, A.eta, Fp)
-    except (BadEta, DivisionByZero):  # eta is 0 or 1 mod p, or p divides its denominator
+        eta = Fp.coerce(A.eta)
+    except DivisionByZero:  # p divides the denominator of eta
         return None
+    if eta in (0, 1):  # the reduction mod p is no Matsuo algebra
+        return None
+    rows = _build_system(A, system)
     n = A.dim
     basis = []
-    for vec in _nullspace(_build_system(Ap, system), n * n, Fp):
+    for vec in _nullspace(rows, n * n, Fp):
         lifted = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
         if None in lifted.values():
             return None
-        basis.append(LinearEndo.from_vector(n, lifted))
-    if system == "leibniz":
-        certified = all(is_derivation(A, d) for d in basis)
-    else:
-        vecs = [d.to_vector() for d in basis]
-        certified = not any(
+        basis.append(lifted)
+    for x in basis:
+        scale = math.lcm(*(v.denominator for v in x.values()))
+        x = {u: int(v * scale) for u, v in x.items()}
+        if any(
             sum(c * x[u] for u, c in row.items() if u in x)
-            for row in r_relations(A.fs)
-            for x in vecs
+            for row in rows
             if not x.keys().isdisjoint(row)
-        )
-    return basis if certified else None
+        ):
+            return None
+    return [LinearEndo.from_vector(n, x) for x in basis]
 
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:

@@ -24,8 +24,7 @@ from matsuo.autos import (
     verify_automorphism,
     weyl_reflection_matrix,
 )
-from matsuo.deriv import LinearEndo
-from matsuo.fields import PrimeField, Rationals, parse_field, sqrt_in_field
+from matsuo.fields import PrimeField, Rationals, parse_field
 from matsuo.fischer import space_of
 from matsuo.linalg import rank
 from matsuo.roots import parse_root_system

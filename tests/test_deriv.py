@@ -23,7 +23,7 @@ from matsuo.deriv import (
     spans_agree,
     vanishing_report,
 )
-from matsuo.fields import PrimeField, Rationals
+from matsuo.fields import PrimeField, Rationals, parse_field
 from matsuo.fischer import space_of
 from matsuo.linalg import axpy, rank, rational_lift
 from matsuo.transpo import CATALOG, parse_group
@@ -260,7 +260,9 @@ def test_lifted_basis_equals_exact_solve_over_q(desc, system):
     assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
 
 
-@pytest.mark.parametrize("eta", [Fraction(1, 3), Fraction(1, 4), Fraction(-1)])
+@pytest.mark.parametrize(
+    "eta", [Fraction(1, 3), Fraction(1, 4), Fraction(-1), Fraction(7, 10), Fraction(-5, 3)]
+)
 @pytest.mark.parametrize("desc", ["S4", "S5", "W:A3", "3W:A2", "M3:2"])
 def test_lifted_leibniz_basis_at_other_eta(desc, eta):
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
@@ -276,18 +278,98 @@ def test_eta_without_image_mod_p_falls_back(eta):
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
+class _OneWrongEntry:
+    """`rational_lift`, except that the first value other than 1 comes out 1 larger.
+
+    A free column lifts to 1, so the one wrong entry sits on a pivot column,
+    which some row names: the perturbed vector solves no system.
+    """
+
+    def __init__(self):
+        self.spent = False
+
+    def __call__(self, a, p):
+        v = rational_lift(a, p)
+        if self.spent or v == 1:
+            return v
+        self.spent = True
+        return v + 1
+
+
 @pytest.mark.parametrize(
-    "lift",
-    [lambda a, p: rational_lift(a, p) + 1, lambda a, p: None],
-    ids=["wrong", "none"],
+    "system,lift",
+    [
+        pytest.param(system, lift, id=f"{system}-{name}")
+        for system in ("leibniz", "r")
+        for name, lift in (
+            ("wrong", lambda a, p: rational_lift(a, p) + 1),
+            ("none", lambda a, p: None),
+            ("one", _OneWrongEntry()),
+        )
+    ],
 )
-@pytest.mark.parametrize("system", ["leibniz", "r"])
 def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
     A = _alg("S4")  # dim 3, with entries such as -7/6
     exact = _exact(A, system)
     monkeypatch.setattr(deriv, "rational_lift", lift)
     assert deriv._lifted_basis(A, system) is None
     assert _entries(derivation_basis(A, system)) == _entries(exact)
+
+
+def _naive_leibniz_rows(A):
+    """Coordinate c of d(a)b + a d(b) - d(ab) for a <= b, expanded term by term."""
+    F, n = A.field, A.dim
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                terms = [(a * n + y, A.basis_product(y, b).get(c)) for y in range(n)]
+                terms += [(b * n + y, A.basis_product(a, y).get(c)) for y in range(n)]
+                terms += [(x * n + c, F.neg(w)) for x, w in A.basis_product(a, b).items()]
+                row = {}
+                for u, v in terms:
+                    if v is not None:
+                        row[u] = F.add(row[u], v) if u in row else v
+                row = {u: v for u, v in row.items() if not F.is_zero(v)}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _row_multiset(rows):
+    return sorted(tuple(sorted(row.items())) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "field,eta",
+    [(PrimeField(13), HALF), (parse_field("F7(sqrt:3)"), (1, 1)), (Q, Fraction(7, 10))],
+    ids=["F13", "F7(sqrt:3)", "Q"],
+)
+@pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:2"])
+def test_leibniz_builder_matches_naive_expansion(desc, field, eta):
+    A = MatsuoAlgebra(space_of(parse_group(desc)), eta, field)
+    rows = build_leibniz_system(A)
+    assert _row_multiset(rows) == _row_multiset(_naive_leibniz_rows(A))
+
+
+@pytest.mark.parametrize(
+    "eta,scale", [(HALF, 4), (Fraction(7, 10), 20), (Fraction(-5, 3), 6), (Fraction(-1), 2)]
+)
+def test_integer_leibniz_rows_are_scaled_rows_over_q(eta, scale):
+    # the table holds 1 and +-eta/2, so the scale is the denominator of eta/2
+    A = MatsuoAlgebra(space_of(parse_group("3W:A2")), eta, Q)
+    table = deriv._IntegerTable(A)
+    assert table.scale == scale
+    rows = build_leibniz_system(table)
+    assert all(type(v) is int for row in rows for v in row.values())
+    assert rows == [{u: scale * v for u, v in row.items()} for row in build_leibniz_system(A)]
+
+
+def test_r_system_over_q_is_integer_rows():
+    A = _alg("S4")
+    rows = build_r_system(A)
+    assert rows == list(r_relations(A.fs))
+    assert all(type(v) is int for row in rows for v in row.values())
 
 
 def test_r_relations_have_small_integer_coefficients():

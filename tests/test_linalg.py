@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +72,21 @@ def test_nullspace_over_prime_field():
         for vec in basis:
             for row in rows:
                 assert dot(row, vec, F7) == 0
+
+
+@pytest.mark.parametrize("p", [7, (1 << 61) - 1])
+def test_nullspace_over_prime_field_reads_unreduced_integer_rows(p):
+    # integer rows, negative entries and multiples of p included, solve as their residues do
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(25):
+        ncols = rng.randint(1, 7)
+        rows = [
+            {c: rng.choice((int(v), int(v) - p, int(v) + 3 * p, 2 * p)) for c, v in row.items()}
+            for row in _random_rows(rng, rng.randint(1, 7), ncols, density=0.6)
+        ]
+        coerced = [{c: F.coerce(v) for c, v in row.items()} for row in rows]
+        assert nullspace(rows, ncols, F) == nullspace(coerced, ncols, F)
 
 
 def test_echelon_insert_reports_growth():

@@ -5,6 +5,8 @@ the code object of every Python call.  An AST walk of the package then names
 each function definition whose code never ran.  A function that no command
 reaches is dead API: delete it, or reach it from a command, or give it an
 entry with a reason in ALLOWED.
+
+A second AST gate fails on any name a test module imports and never uses.
 """
 
 import ast
@@ -18,6 +20,7 @@ import matsuo
 from matsuo.cli import EXIT_OK, main
 
 SRC = os.path.dirname(os.path.realpath(matsuo.__file__))
+TESTS = os.path.dirname(os.path.realpath(__file__))
 
 # each command is small; together they touch every path that has a command
 LADDER = [
@@ -102,6 +105,30 @@ def test_every_function_is_reached_by_a_command():
         if (path, line) not in reached and not _allowed(name)
     )
     assert not dead, "functions no command reaches:\n" + "\n".join(dead)
+
+
+def _unused_imports(path: str) -> list[str]:
+    """Names a module imports at any depth and never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_test_modules_use_every_name_they_import():
+    unused = {
+        name: found
+        for name in sorted(os.listdir(TESTS))
+        if name.endswith(".py") and (found := _unused_imports(os.path.join(TESTS, name)))
+    }
+    assert not unused, f"imported and never used: {unused}"
 
 
 def test_allow_list_names_existing_functions():
