@@ -1,8 +1,14 @@
-"""Matsuo algebras: construction, multiplication, axes and the fusion law."""
+"""Matsuo algebras: construction, multiplication, axes and the fusion law.
+
+`IntegerForm` writes sparse tables and vectors with integer coordinates, for
+the exact checks of maps (multiplicativity, the Leibniz rule) in Python ints.
+"""
 
 from __future__ import annotations
 
-from .fields import Field, field_name
+import math
+
+from .fields import Field, QuadraticExtension, field_name
 from .fischer import FischerSpace
 from .linalg import Echelon, axpy, nullspace
 
@@ -48,9 +54,6 @@ class SparseAlgebra:
     dim: int
     products: dict
 
-    def basis_element(self, i: int) -> dict:
-        return {i: self.field.one_raw()}
-
     def basis_product(self, i: int, j: int) -> dict:
         return self.products.get((i, j) if i <= j else (j, i), {})
 
@@ -73,6 +76,92 @@ class SparseAlgebra:
     def sub(self, x: dict, y: dict) -> dict:
         F = self.field
         return axpy(dict(x), F.neg(F.one_raw()), y, F)
+
+
+class IntegerForm:
+    """Sparse vectors over a field in integer coordinates, and products in them.
+
+    A vector is a pair (r, s) of int dicts, the rational and the sqrt part, with
+    v = (r + s sqrt(d')) / scale; s is empty off a quadratic extension.  Over
+    k(sqrt(n/m)), d' = nm and the sqrt part is divided by m, as
+    sqrt(n/m) = sqrt(nm) / m.  `scale` is the lcm of the denominators of every
+    vector the form is built from, 1 over F_p, where a coordinate is zero when
+    p divides it.  A table maps each basis pair i <= j to its product vector.
+    """
+
+    def __init__(self, field: Field, *groups):
+        if isinstance(field, QuadraticExtension):
+            self._m, self.dprime = field.d.denominator, field.d.numerator * field.d.denominator
+            self._parts = lambda v: v
+        else:
+            self._m, self.dprime = 1, 0
+            self._parts = lambda v: (v, 0)
+        self.characteristic = field.characteristic
+        dens = set()
+        if not self.characteristic:  # a residue mod p is an int, of denominator 1
+            for vectors in groups:
+                for x in vectors:
+                    for v in x.values():
+                        a, b = self._parts(v)
+                        dens.add(a.denominator)
+                        if b:
+                            dens.add(b.denominator * self._m)
+        self.scale = math.lcm(*dens)
+
+    def vector(self, x: dict) -> tuple[dict, dict]:
+        """x times `scale`; clearing a denominator is one int product, no Fraction arithmetic."""
+        L, m = self.scale, self._m
+        r, s = {}, {}
+        for k, v in x.items():
+            a, b = self._parts(v)
+            if a:
+                r[k] = a.numerator * (L // a.denominator)
+            if b:
+                s[k] = b.numerator * (L // (b.denominator * m))
+        return r, s
+
+    def table(self, products: dict) -> dict:
+        return {ij: self.vector(p) for ij, p in products.items()}
+
+    def add_image(self, acc: tuple, c: int, cols: list, x: tuple) -> None:
+        """acc += c * sum_k x_k cols[k]."""
+        dp = self.dprime
+        for xi, xpart in enumerate(x):
+            for k, xk in xpart.items():
+                for ci, cpart in enumerate(cols[k]):
+                    if cpart:
+                        f = c * xk * dp if xi & ci else c * xk
+                        out = acc[xi ^ ci]
+                        for key, v in cpart.items():
+                            out[key] = out.get(key, 0) + f * v
+
+    def add_product(self, acc: tuple, c: int, table: dict, x: tuple, y: tuple) -> None:
+        """acc += c * xy, the product under `table`."""
+        dp = self.dprime
+        for xi, xpart in enumerate(x):
+            for yi, ypart in enumerate(y):
+                for a, xa in xpart.items():
+                    cx = c * xa
+                    for b, yb in ypart.items():
+                        prod = table.get((a, b) if a <= b else (b, a))
+                        if prod is None:
+                            continue
+                        for ti, row in enumerate(prod):
+                            if row:
+                                t = xi + yi + ti  # sqrt(d')^t = d'^(t // 2) sqrt(d')^(t % 2)
+                                f = cx * yb * dp if t > 1 else cx * yb
+                                out = acc[t & 1]
+                                for key, v in row.items():
+                                    out[key] = out.get(key, 0) + f * v
+
+    def failing_pair(self, dim: int, residual) -> tuple[int, int] | None:
+        """The first basis pair (i, j), i <= j, where residual(i, j) is not zero, or None."""
+        p = self.characteristic
+        for i in range(dim):
+            for j in range(i, dim):
+                if any(v % p if p else v for part in residual(i, j) for v in part.values()):
+                    return (i, j)
+        return None
 
 
 class MatsuoAlgebra(SparseAlgebra):

@@ -4,14 +4,20 @@ Covers the zero-row-sum symmetric matrix model of M(S_n), the block model of
 M(3^n:W) over a field containing sqrt(3), its explicit isomorphism, the torus
 of rotation automorphisms, root-system-induced automorphisms, and the
 character bookkeeping of the torus action.
+
+Every map built here passes `verify_automorphism`, which checks it on every
+basis pair in Python ints: the denominators of both tables and of the map are
+cleared once per call, and over F_p the difference is reduced mod p only
+where it is compared with zero.  All three algebras are structure-constant
+tables (`SparseAlgebra`), so the check reads `products` for every target.
 """
 
 from __future__ import annotations
 
-from .algebra import BadCharacteristic, MatsuoAlgebra, SparseAlgebra
+from .algebra import BadCharacteristic, IntegerForm, MatsuoAlgebra, SparseAlgebra
 from .deriv import LinearEndo
 from .fields import Field
-from .linalg import axpy, rank
+from .linalg import rank
 from .roots import RootSystem
 
 
@@ -141,15 +147,29 @@ class ModelB(SparseAlgebra):
 
 def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
     """Raise VerificationFailure unless `endo` is multiplicative on all basis
-    pairs of A and bijective onto `target` (A itself when omitted)."""
+    pairs of A and bijective onto `target` (A itself when omitted).
+
+    Multiplicativity is checked in Python ints: with the two tables and the
+    images all times L (see `IntegerForm`), L phi(e_i e_j) and
+    phi(e_i) phi(e_j) both come out times L^3.
+    """
     target = A if target is None else target
     F = target.field
-    minus_one = F.neg(F.one_raw())
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            lhs = endo.apply(target, A.basis_product(i, j))
-            if axpy(lhs, minus_one, target.multiply(endo.cols[i], endo.cols[j]), F):
-                raise VerificationFailure(f"multiplicativity fails on basis pair {(i, j)}")
+    form = IntegerForm(F, A.products.values(), target.products.values(), endo.cols)
+    src = form.table(A.products)
+    tgt = src if target is A else form.table(target.products)
+    cols = [form.vector(c) for c in endo.cols]
+
+    def residual(i, j):
+        acc = ({}, {})
+        form.add_product(acc, 1, tgt, cols[i], cols[j])
+        if (i, j) in src:
+            form.add_image(acc, -form.scale, cols, src[(i, j)])
+        return acc
+
+    pair = form.failing_pair(A.dim, residual)
+    if pair is not None:
+        raise VerificationFailure(f"multiplicativity fails on basis pair {pair}")
     if A.dim != target.dim or rank(endo.cols, F) != A.dim:
         raise VerificationFailure("map is not bijective")
 
@@ -311,18 +331,32 @@ def root_automorphism(M: MatsuoAlgebra, mat) -> LinearEndo:
 # -- zero-sum symmetric matrix model of M(S_n) --------------------------------
 
 
-class ZeroSumJordan:
-    """Symmetric n x n matrices with zero row sums under the Jordan product."""
+class ZeroSumJordan(SparseAlgebra):
+    """Symmetric n x n matrices with zero row sums under the Jordan product.
+
+    The table runs over the n^2 matrix units e_rc, keyed r * n + c (0-based):
+    e_rc . e_st = (1/2)(delta_cs e_rt + delta_tr e_sc).  The algebra is the
+    subspace of zero-sum symmetric matrices, of dimension n(n - 1)/2.
+    """
 
     def __init__(self, n: int, field: Field):
         if n < 2:
             raise ValueError("need n >= 2")
         self.n = n
         self.field = field
-
-    @property
-    def dim(self) -> int:
-        return self.n * (self.n - 1) // 2
+        self.dim = n * (n - 1) // 2
+        F = field
+        half = F.div(F.one_raw(), F.coerce(2))
+        products: dict = {}
+        for r in range(n):
+            for c in range(n):
+                for t in range(n):
+                    # e_rc e_ct = e_rt is half the Jordan product, all of it when e_rc = e_ct
+                    u, v, w = r * n + c, c * n + t, r * n + t
+                    row = products.setdefault((u, v) if u <= v else (v, u), {})
+                    x = F.one_raw() if u == v else half
+                    row[w] = F.add(row[w], x) if w in row else x
+        self.products = products
 
     def transposition_image(self, i: int, j: int) -> dict:
         """(ij) -> (1/2)(e_ii + e_jj - e_ij - e_ji), keyed by r * n + c (0-based)."""
@@ -336,19 +370,6 @@ class ZeroSumJordan:
             i * n + j: F.neg(half),
             j * n + i: F.neg(half),
         }
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        """The Jordan product (xy + yx) / 2."""
-        F = self.field
-        n = self.n
-        half = F.div(F.one_raw(), F.coerce(2))
-        out: dict = {}
-        for u, v in ((x, y), (y, x)):
-            for k, w in u.items():
-                r, c = divmod(k, n)  # u_rc e_rc . v = u_rc sum_m v_cm e_rm
-                row_c = {r * n + m % n: z for m, z in v.items() if m // n == c}
-                axpy(out, F.mul(half, w), row_c, F)
-        return out
 
     def is_zero_sum_symmetric(self, x: dict) -> bool:
         F = self.field

@@ -1,6 +1,7 @@
 """Automorphism constructions: model B, its isomorphism, torus, root maps, ZS_n."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,10 @@ from matsuo.autos import (
     verify_automorphism,
     weyl_reflection_matrix,
 )
+from matsuo.deriv import LinearEndo
 from matsuo.fields import PrimeField, Rationals, parse_field
 from matsuo.fischer import space_of
-from matsuo.linalg import rank
+from matsuo.linalg import axpy, rank
 from matsuo.roots import parse_root_system
 from matsuo.transpo import parse_group
 
@@ -295,6 +297,118 @@ def test_jordan_products_stay_zero_sum_symmetric():
     for _ in range(10):
         x, y = rng.choice(imgs), rng.choice(imgs)
         assert Z.is_zero_sum_symmetric(Z.multiply(x, y))
+
+
+def _old_jordan_product(Z, x, y):
+    """(xy + yx) / 2 by the explicit matrix formula ZeroSumJordan used before its table."""
+    F = Z.field
+    n = Z.n
+    half = F.div(F.one_raw(), F.coerce(2))
+    out: dict = {}
+    for u, v in ((x, y), (y, x)):
+        for k, w in u.items():
+            r, c = divmod(k, n)  # u_rc e_rc . v = u_rc sum_m v_cm e_rm
+            row_c = {r * n + m % n: z for m, z in v.items() if m // n == c}
+            axpy(out, F.mul(half, w), row_c, F)
+    return out
+
+
+def _random_zero_sum_symmetric(Z, rng):
+    F = Z.field
+    n = Z.n
+    x = {}
+    for r in range(n):
+        for c in range(r + 1, n):
+            x[r * n + c] = x[c * n + r] = F.coerce(rng.randint(-4, 4))
+    for r in range(n):
+        acc = F.zero_raw()
+        for c in range(n):
+            if c != r:
+                acc = F.add(acc, x[r * n + c])
+        x[r * n + r] = F.neg(acc)
+    return {k: v for k, v in x.items() if not F.is_zero(v)}
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_zero_sum_jordan_table_matches_the_matrix_formula(n, field):
+    Z = ZeroSumJordan(n, field)
+    rng = random.Random(n)
+    for _ in range(10):
+        x, y = _random_zero_sum_symmetric(Z, rng), _random_zero_sum_symmetric(Z, rng)
+        assert Z.is_zero_sum_symmetric(x)
+        prod = Z.multiply(x, y)
+        assert prod == _old_jordan_product(Z, x, y)
+        assert Z.is_zero_sum_symmetric(prod)
+
+
+# -- the integer multiplicativity check against plain field arithmetic --------------
+
+
+def _reference_failing_pair(A, cols, T):
+    """The first pair (i, j), i <= j, with phi(e_i e_j) != phi(e_i) phi(e_j) in T, or None."""
+    F = T.field
+
+    def add(out, key, v):
+        out[key] = F.add(out.get(key, F.zero_raw()), v)
+
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            lhs, rhs = {}, {}
+            for k, x in A.products.get((i, j), {}).items():
+                for key, v in cols[k].items():
+                    add(lhs, key, F.mul(x, v))
+            for a, x in cols[i].items():
+                for b, y in cols[j].items():
+                    for key, v in T.products.get((min(a, b), max(a, b)), {}).items():
+                        add(rhs, key, F.mul(F.mul(x, y), v))
+            zero = F.zero_raw()
+            if any(not F.is_zero(F.sub(lhs.get(k, zero), rhs.get(k, zero))) for k in lhs | rhs):
+                return (i, j)
+    return None
+
+
+def _checked_failing_pair(A, cols, T):
+    """The pair `verify_automorphism` reports, or None when it passes."""
+    try:
+        verify_automorphism(A, LinearEndo(A.dim, cols), T)
+    except VerificationFailure as e:
+        m = re.fullmatch(r"multiplicativity fails on basis pair \((\d+), (\d+)\)", str(e))
+        assert m, str(e)
+        return (int(m[1]), int(m[2]))
+    return None
+
+
+@pytest.mark.parametrize("fdesc", ["Q", "Fp:13", "Q(sqrt:3)", "Q(sqrt:1/3)", "Fp:7(sqrt:3)"])
+def test_integer_check_matches_field_arithmetic(fdesc):
+    field = parse_field(fdesc)
+    maps = []
+    if fdesc != "Q":  # model B needs sqrt 3
+        B = ModelB(parse_root_system("A2"), field)
+        M = _matsuo("3W:A2", field)
+        maps.append((B, model_b_iso(B, M), M))
+    S = _matsuo("S4", field)
+    Z, cols = symmetric_model_iso(S)
+    maps.append((S, cols, Z))
+    for A, cols, T in maps:
+        F = field
+        assert _reference_failing_pair(A, cols, T) is None
+        assert _checked_failing_pair(A, cols, T) is None
+        # one entry of one column doubled
+        bent = [dict(c) for c in cols]
+        k = next(iter(bent[A.dim // 2]))
+        bent[A.dim // 2][k] = F.add(bent[A.dim // 2][k], bent[A.dim // 2][k])
+        want = _reference_failing_pair(A, bent, T)
+        assert want is not None
+        assert _checked_failing_pair(A, bent, T) == want
+        # one entry of one target product doubled
+        key = sorted(ij for ij, p in T.products.items() if p)[len(T.products) // 3]
+        row = dict(T.products[key])
+        c = next(iter(row))
+        T.products[key] = {**row, c: F.add(row[c], row[c])}
+        want = _reference_failing_pair(A, cols, T)
+        assert want is not None
+        assert _checked_failing_pair(A, cols, T) == want
 
 
 # -- characters -------------------------------------------------------------------

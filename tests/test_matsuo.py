@@ -9,6 +9,7 @@ import sympy
 from matsuo.algebra import (
     BadCharacteristic,
     BadEta,
+    IntegerForm,
     MatsuoAlgebra,
 )
 from matsuo.fields import PrimeField, Rationals, parse_field
@@ -23,6 +24,22 @@ HALF = Fraction(1, 2)
 
 def _alg(desc, field=Q, eta=HALF):
     return MatsuoAlgebra(space_of(parse_group(desc)), field.coerce(eta), field)
+
+
+@pytest.mark.parametrize(
+    "fdesc,value,form",
+    [
+        ("Q", Fraction(-5, 6), (6, 0, {0: -5}, {})),
+        ("Fp:13", 9, (1, 0, {0: 9}, {})),
+        # 1/2 + sqrt(1/3) = 1/2 + sqrt(3)/3 = (3 + 2 sqrt 3)/6
+        ("Q(sqrt:1/3)", (Fraction(1, 2), Fraction(1)), (6, 3, {0: 3}, {0: 2})),
+        ("Q(sqrt:-2/5)", (Fraction(0), Fraction(3, 4)), (20, -10, {}, {0: 3})),
+        ("Fp:7(sqrt:3)", (0, 5), (1, 3, {}, {0: 5})),
+    ],
+)
+def test_integer_form_clears_denominators(fdesc, value, form):
+    f = IntegerForm(parse_field(fdesc), [{0: value}])
+    assert (f.scale, f.dprime, *f.vector({0: value})) == form
 
 
 def test_product_rule_cases():
@@ -94,10 +111,10 @@ def test_eta_eigenvector_structure():
             if a != b and A.fs.collinear(a, b):
                 ba = A.fs.third[a][b]
                 v = {b: Fraction(1), ba: Fraction(-1)}  # b - b^a
-                got = A.multiply(A.basis_element(a), v)
+                got = A.multiply({a: Fraction(1)}, v)
                 assert got == A.scale(A.eta, v)
                 u = {b: Fraction(1), ba: Fraction(1)}  # a.(b + b^a) = eta*a
-                w = A.multiply(A.basis_element(a), u)
+                w = A.multiply({a: Fraction(1)}, u)
                 assert w == {a: Fraction(1, 2)}
 
 
@@ -130,8 +147,8 @@ def _projection(A, a, b):
     """P e_b for P = L_a (L_a - eta) / (1 - eta), which kills the 0- and
     eta-eigenspaces of the axis a and fixes its 1-eigenspace."""
     F = A.field
-    e_a = A.basis_element(a)
-    v = A.multiply(e_a, A.basis_element(b))
+    e_a = {a: F.one_raw()}
+    v = A.multiply(e_a, {b: F.one_raw()})
     v = A.sub(A.multiply(e_a, v), A.scale(A.eta, v))
     return A.scale(F.inv(F.sub(F.one_raw(), A.eta)), v)
 
@@ -141,7 +158,7 @@ def test_phi_values():
     1, eta/2 or 0 as b is a, collinear with a or commuting with it."""
     A = _alg("S4")
     for a in range(A.dim):
-        assert A.eigendecompose(a).space_1 == [A.basis_element(a)]
+        assert A.eigendecompose(a).space_1 == [{a: A.field.one_raw()}]
         for b in range(A.dim):
             phi = _projection(A, a, b)
             if a == b:
