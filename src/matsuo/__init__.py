@@ -8,7 +8,6 @@ two exceptional families.
 
 __version__ = "1.0.0"
 
-from .algebra import MatsuoAlgebra
 from .fields import Field, FieldElement, parse_field, sqrt_in_field
 from .fischer import FischerSpace, space_of
 from .roots import RootSystem, parse_root_system
@@ -19,7 +18,6 @@ __all__ = [
     "Field",
     "FieldElement",
     "FischerSpace",
-    "MatsuoAlgebra",
     "RootSystem",
     "TranspoGroup",
     "__version__",

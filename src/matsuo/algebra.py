@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 
+from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .fields import Field, QuadraticExtension, field_name
 from .fischer import FischerSpace
-from .linalg import Echelon, axpy, nullspace
+from .linalg import Echelon, axpy
 
 
 class AlgebraError(Exception):
@@ -210,9 +211,9 @@ class MatsuoAlgebra(SparseAlgebra):
             out = [axpy(dict(rows[c]), F.neg(lam), {c: F.one_raw()}, F) for c in range(self.dim)]
             return [r for r in out if r]
 
-        ker0 = nullspace(shifted(F.zero_raw()), self.dim, F)
-        ker_eta = nullspace(shifted(self.eta), self.dim, F)
-        ker1 = nullspace(shifted(F.one_raw()), self.dim, F)
+        ker0 = linalg.nullspace(shifted(F.zero_raw()), self.dim, F)
+        ker_eta = linalg.nullspace(shifted(self.eta), self.dim, F)
+        ker1 = linalg.nullspace(shifted(F.one_raw()), self.dim, F)
         if len(ker1) != 1:
             raise NotSemisimple(f"1-eigenspace of axis {a} has dimension {len(ker1)}")
         if 1 + len(ker0) + len(ker_eta) != self.dim:

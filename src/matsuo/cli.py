@@ -1,5 +1,9 @@
 """Command-line front end: build, derive, classify-lines and verify.
 
+Each command imports only the layers it runs: `classify-lines` needs the group
+tables and the Fischer geometry, `build` adds the structure constants, `derive`
+the constraint systems and `verify` the suites and automorphisms.
+
 Every command emits a versioned JSON report (schema 1) with exact scalars
 serialized as strings.  Reports are byte-identical across runs for fixed
 inputs and seed; wall-clock timing is only included on request since it
@@ -21,9 +25,9 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, verify
-from .algebra import AlgebraError, BadEta, MatsuoAlgebra
-from .deriv import derivation_basis, require_eta_half, spans_agree, vanishing_report
+# the other layers are imported by the commands that run them: where bytecode
+# is not cached, every module imported here is compiled on each start
+from . import __version__
 from .fields import DivisionByZero, Field, FieldError, parse_field, sqrt_in_field
 from .fischer import space_of
 from .roots import parse_root_system
@@ -32,6 +36,9 @@ from .transpo import CATALOG, parse_group
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# the names of `verify.SUITES`, in its order, for the parser
+SUITE_NAMES = ("fusion", "equivalence", "model", "torus", "section")
 
 
 class UsageError(Exception):
@@ -61,7 +68,9 @@ def _field_and_eta(args) -> tuple[Field, object]:
         raise UsageError(f"cannot read eta {args.eta!r} in {field}: {e}")
 
 
-def _build_algebra(args) -> MatsuoAlgebra:
+def _build_algebra(args):
+    from .algebra import AlgebraError, MatsuoAlgebra
+
     field, eta = _field_and_eta(args)
     try:
         return MatsuoAlgebra(space_of(parse_group(args.group)), eta, field)
@@ -114,6 +123,9 @@ def cmd_build(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_derive(args) -> tuple[dict, list[dict]]:
+    from .algebra import BadEta
+    from .deriv import derivation_basis, require_eta_half, spans_agree, vanishing_report
+
     A = _build_algebra(args)
     systems = ("leibniz", "r") if args.system == "both" else (args.system,)
     if "r" in systems:
@@ -195,6 +207,8 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_verify(args) -> tuple[dict, list[dict]]:
+    from . import verify
+
     field, eta = _field_and_eta(args)
     try:
         if args.group is not None:
@@ -288,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("all", *verify.SUITES))
+    p.add_argument("suite", choices=("all", *SUITE_NAMES))
     p.add_argument("--group", default=None, help="restrict to one group descriptor")
     p.add_argument("--type", default=None, help="root system type for model/torus/section")
     p.add_argument("--trials", type=int, default=25, help="randomized trials per check")

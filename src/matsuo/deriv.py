@@ -14,9 +14,10 @@ solve over Q as the fallback (see `_lifted_basis`).
 
 from __future__ import annotations
 
+from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
 from .fields import DivisionByZero, PrimeField, Rationals
-from .linalg import axpy, dot, nullspace as _nullspace, rank, rational_lift
+from .linalg import axpy, dot, rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
 
@@ -227,7 +228,7 @@ def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo, rows=None) -> bool:
 
 def nullspace_endos(A: MatsuoAlgebra, rows) -> list[LinearEndo]:
     n = A.dim
-    vecs = _nullspace(rows, n * n, A.field)
+    vecs = linalg.nullspace(rows, n * n, A.field)
     return [LinearEndo.from_vector(n, v) for v in vecs]
 
 
@@ -260,6 +261,7 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
     independent, as each is 1 on its own free column and 0 on the others.  If
     each, with its denominators cleared, is orthogonal to every integer row,
     they span the nullspace over Q, since rank_p <= rank_Q bounds nullity_Q by k.
+    A row that meets none of their supports is orthogonal to all of them.
     """
     Fp = PrimeField(MODULUS)
     try:
@@ -271,19 +273,19 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
     rows = _build_system(A, system)
     n = A.dim
     basis = []
-    for vec in _nullspace(rows, n * n, Fp):
+    for vec in linalg.nullspace(rows, n * n, Fp):
         lifted = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
         if None in lifted.values():
             return None
         basis.append(lifted)
-    for x in basis:
-        x, _ = IntegerForm(A.field, [x]).vector(x)
-        if any(
-            sum(c * x[u] for u, c in row.items() if u in x)
-            for row in rows
-            if not x.keys().isdisjoint(row)
-        ):
-            return None
+    cleared = [IntegerForm(A.field, [x]).vector(x)[0] for x in basis]
+    support = set().union(*cleared)
+    for row in rows:
+        if support.isdisjoint(row):  # orthogonal to every vector
+            continue
+        for x in cleared:
+            if sum(c * x[u] for u, c in row.items() if u in x):
+                return None
     return [LinearEndo.from_vector(n, x) for x in basis]
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class FieldError(Exception):
@@ -50,8 +50,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(NamedTuple):
     """A raw value paired with its field, as `sqrt_in_field` returns it."""
 
     field: Field

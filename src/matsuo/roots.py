@@ -8,7 +8,7 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def _edges(type_name: str, rank: int) -> list[tuple[int, int]]:
@@ -28,13 +28,12 @@ def _edges(type_name: str, rank: int) -> list[tuple[int, int]]:
     raise ValueError(f"unsupported root system type {type_name!r}")
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     type_name: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    _root_set: frozenset = field(repr=False, default=frozenset())
+    root_set: frozenset = frozenset()
 
     @property
     def name(self) -> str:
@@ -73,7 +72,7 @@ class RootSystem:
         return table
 
     def is_root(self, v) -> bool:
-        return v in self._root_set
+        return v in self.root_set
 
     @staticmethod
     def is_positive(v) -> bool:

@@ -7,14 +7,13 @@ predicate o(ab) derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .roots import RootSystem, parse_root_system
 
 
-@dataclass(frozen=True)
-class TranspoGroup:
+class TranspoGroup(NamedTuple):
     label: str
     family: str  # "symmetric" | "weyl" | "affine_weyl" | "moufang"
     points: tuple  # payloads

@@ -4,13 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matsuo import autos
+import matsuo
+from matsuo import autos, verify
 from matsuo.algebra import MatsuoAlgebra, NotSemisimple
-from matsuo.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from matsuo.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, SUITE_NAMES, main
 
 
 def run(argv, capsys):
@@ -380,3 +384,73 @@ def test_classify_large_affine_weyl_near_solid_lines_are_a_vertical_spread(capsy
     r = doc["results"]
     assert r["near_solid"] == near and r["vertical_near_solid"] == near
     assert r["near_solid_lines_form_spread"] is True
+
+
+# sha256 of stdout and stderr, and the exit code, recorded before the parser
+# stopped importing `matsuo.verify` for the suite names
+HELP_GOLDEN = {
+    "--help": (
+        EXIT_OK,
+        "f6be1431200eb8c7f42dd053fd6311b8d736128bbd63ba8f443f1e7a7562cf1b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --help": (
+        EXIT_OK,
+        "9fdb10f5fa789f0feaae84e675963e00d5e964c9501da466fdefffd9225b6357",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify bogus": (
+        EXIT_USAGE,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a9a8d371ec4997551817b4407cc73540a4fbeedf563c19f4c9aa22a1c67f77ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDEN))
+def test_help_and_usage_text_is_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code, out, err = run(argv.split(), capsys)
+    out, err = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, out, err) == HELP_GOLDEN[argv]
+
+
+def test_parser_suite_names_are_the_verify_suites():
+    assert SUITE_NAMES == tuple(verify.SUITES)
+
+
+def _modules_after(argv):
+    """The modules a fresh interpreter holds after `main(argv)`: pytest itself
+    has loaded `dataclasses` and the package, so this takes a subprocess."""
+    script = "\n".join([
+        "import sys",
+        "from matsuo.cli import main",
+        "main(sys.argv[1:])",
+        "print(*sys.modules, file=sys.stderr)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.realpath(matsuo.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stderr.split())
+
+
+LAYERS = {"matsuo.algebra", "matsuo.linalg", "matsuo.deriv", "matsuo.autos", "matsuo.verify"}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["classify-lines", "S4"], LAYERS | {"dataclasses"}),
+        (["build", "S4"], {"matsuo.deriv", "matsuo.autos", "matsuo.verify", "dataclasses"}),
+        (["derive", "S4"], {"matsuo.autos", "matsuo.verify"}),
+    ],
+)
+def test_each_command_imports_only_its_layers(argv, absent):
+    loaded = _modules_after(argv)
+    assert "matsuo.fischer" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & absent)

@@ -315,6 +315,34 @@ def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
     assert _entries(derivation_basis(A, system)) == _entries(exact)
 
 
+class _WrongAt:
+    """`rational_lift`, except that lift number `k` (from 0) comes out 1 larger."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+
+    def __call__(self, a, p):
+        v = rational_lift(a, p)
+        self.calls += 1
+        return v + 1 if self.calls == self.k + 1 else v
+
+
+@pytest.mark.parametrize("system", ["leibniz", "r"])
+def test_certificate_rejects_one_wrong_entry_in_any_vector(monkeypatch, system):
+    """Each lifted entry of 3W:A2's eight vectors, made wrong on its own, fails the
+    certificate: a row is skipped only if it misses the union of the supports.
+    The short (R1)-(R7) rows miss the support of some vectors and meet others."""
+    A = _alg("3W:A2")
+    count = _WrongAt(-1)
+    monkeypatch.setattr(deriv, "rational_lift", count)
+    assert len(deriv._lifted_basis(A, system)) == 8
+    assert count.calls > 8
+    for k in range(count.calls):
+        monkeypatch.setattr(deriv, "rational_lift", _WrongAt(k))
+        assert deriv._lifted_basis(A, system) is None, k
+
+
 def _naive_leibniz_rows(A):
     """Coordinate c of d(a)b + a d(b) - d(ab) for a <= b, expanded term by term."""
     F, n = A.field, A.dim

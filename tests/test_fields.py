@@ -97,6 +97,15 @@ def test_sqrt_in_rationals():
     assert sqrt_in_field(Q, -1) is None
 
 
+def test_field_element_is_a_value():
+    a, b = FieldElement(F13, 4), FieldElement(PrimeField(13), 4)
+    assert a == b and hash(a) == hash(b)
+    assert a != FieldElement(F13, 5) and a != FieldElement(F7, 4)
+    for attr in ("raw", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 5)
+
+
 def test_sqrt_in_quadratic_extension():
     s = sqrt_in_field(QS3, 3)
     assert s is not None and QS3.mul(s.raw, s.raw) == QS3.coerce(3)

@@ -1,5 +1,7 @@
 """Simply laced root systems: counts, pairing bounds, reflection involutions."""
 
+import hashlib
+
 import pytest
 
 from matsuo.roots import RootSystem, build_root_system, parse_root_system
@@ -66,3 +68,25 @@ def test_parse_root_system():
     for bad in ("B3", "A", "E9", "D2", ""):
         with pytest.raises(ValueError):
             parse_root_system(bad)
+
+
+def test_root_system_is_a_value():
+    a, b = parse_root_system("D4"), build_root_system("D", 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_root_system("A4")
+    for attr in ("rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 5)
+
+
+def test_e8_roots_are_pinned():
+    """sha256 of the positive roots and of the sorted root set, recorded when
+    `RootSystem` was a dataclass."""
+    rs = parse_root_system("E8")
+    assert len(rs.positive_roots) == 120 and len(rs.root_set) == 240
+    digest = hashlib.sha256(repr(rs.positive_roots).encode()).hexdigest()
+    assert digest == "76efb16389780ed20aea28d40b8e75c9d73c2adff870d571d525dd5daa3a8bb1"
+    digest = hashlib.sha256(repr(sorted(rs.root_set)).encode()).hexdigest()
+    assert digest == "cc474f17ffe7fb2e82ff30c4d0478f45d71bafac0b4e5ef5be0dd31716d493b5"
+    assert all(rs.is_root(v) and rs.is_root(tuple(-c for c in v)) for v in rs.positive_roots)
+    assert not rs.is_root((0,) * 8)

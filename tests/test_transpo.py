@@ -183,3 +183,12 @@ def test_parse_group_rejects_unknown_descriptors():
     for bad in ("", "S1", "X:A3", "W:B3", "3W:", "M3:", "S"):
         with pytest.raises(ValueError):
             parse_group(bad)
+
+
+def test_transpo_group_is_a_value():
+    a, b = parse_group("3W:A2"), parse_group("3W:A2")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_group("M3:2")  # also 9 points
+    for attr in ("label", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, "x")
