@@ -30,6 +30,11 @@ class NotSemisimple(AlgebraError):
     """Eigenspace dimensions of an axis do not add up to dim A."""
 
 
+class AutosError(Exception):
+    """An automorphism construction of `autos` failed; named here so that callers
+    can catch it without importing `autos`."""
+
+
 class Eigendecomp:
     """Eigenspace bases of the left multiplication by an axis: 1, 0 and eta parts."""
 

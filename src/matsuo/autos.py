@@ -14,15 +14,11 @@ tables (`SparseAlgebra`), so the check reads `products` for every target.
 
 from __future__ import annotations
 
-from .algebra import BadCharacteristic, IntegerForm, MatsuoAlgebra, SparseAlgebra
+from .algebra import AutosError, BadCharacteristic, IntegerForm, MatsuoAlgebra, SparseAlgebra
 from .deriv import LinearEndo
 from .fields import Field
 from .linalg import rank
 from .roots import RootSystem
-
-
-class AutosError(Exception):
-    pass
 
 
 class NoSqrt3(AutosError):

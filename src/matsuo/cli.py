@@ -2,7 +2,8 @@
 
 Each command imports only the layers it runs: `classify-lines` needs the group
 tables and the Fischer geometry, `build` adds the structure constants, `derive`
-the constraint systems and `verify` the suites and automorphisms.
+the constraint systems and `verify` the suites (and, for the suites that
+build maps, the automorphisms).
 
 Every command emits a versioned JSON report (schema 1) with exact scalars
 serialized as strings.  Reports are byte-identical across runs for fixed

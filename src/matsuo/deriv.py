@@ -207,9 +207,9 @@ def require_eta_half(A: MatsuoAlgebra) -> None:
 
 
 def build_r_system(A: MatsuoAlgebra) -> list[dict]:
-    """The rows of `r_relations` over the field of A; over Q they stay integer rows."""
+    """The rows of `r_relations` over the field of A; over Q and F_p they stay integer rows."""
     require_eta_half(A)
-    if isinstance(A.field, Rationals):
+    if isinstance(A.field, (Rationals, PrimeField)):
         return list(r_relations(A.fs))
     coerce = A.field.coerce
     return [{u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs)]
@@ -256,7 +256,7 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
     """The basis over Q found modulo MODULUS and checked exactly, or None.
 
     The system is built once, as integer rows, and solved over F_p as it
-    stands: every `PrimeField` operation reduces its result.  The nullspace is
+    stands: the eliminator reads unreduced integers.  The nullspace is
     lifted entrywise by rational reconstruction.  The k lifted vectors are
     independent, as each is 1 on its own free column and 0 on the others.  If
     each, with its denominators cleared, is orthogonal to every integer row,

@@ -5,6 +5,14 @@ routine that adds a multiple of one into another and drops what cancels.
 The eliminator keeps each pivot in solved form: `solved[p]` writes x_p as a
 combination of free columns only, which keeps the solutions short whenever
 the solution space is small; rows are fed shortest-first to limit fill-in.
+
+`Echelon.reduce` is one pass over the row: an entry on a free column is added
+into the residual, an entry on a pivot column adds its coefficient times that
+pivot's solution, and what cancels is dropped once, at the end.  Over a
+`PrimeField` the sums and products are plain ints and each surviving entry is
+reduced mod p once, at the end, so rows may hold unreduced integers (negative
+entries and multiples of p included); `axpy` likewise reduces each entry it
+writes once.  Every value stored in `solved` is a reduced residue.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .fields import Field
+from .fields import Field, PrimeField
 
 
 def axpy(dst: dict, c, src: dict, field: Field) -> dict:
@@ -21,6 +29,15 @@ def axpy(dst: dict, c, src: dict, field: Field) -> dict:
 
     Returns dst.  Entries of dst off src's support are left as they are.
     """
+    if isinstance(field, PrimeField):
+        p = field.p
+        for k, v in src.items():
+            nv = (dst.get(k, 0) + c * v) % p
+            if nv:
+                dst[k] = nv
+            else:
+                dst.pop(k, None)
+        return dst
     mul, add, is_zero = field.mul, field.add, field.is_zero
     for k, v in src.items():
         nv = mul(c, v)
@@ -50,16 +67,34 @@ class Echelon:
         """Residual of a row modulo the current row space: no pivot column remains.
 
         Solutions name free columns only, so each pivot column of the row is
-        substituted once, with its original coefficient.
+        substituted once, with its original coefficient.  Over F_p the row may
+        hold unreduced integers, and the residual holds reduced residues.
         """
         F = self.field
         solved = self.solved
-        row = {c: v for c, v in row.items() if not F.is_zero(v)}
-        for p in [c for c in row if c in solved]:
-            c = row.pop(p)
-            if solved[p]:
-                axpy(row, c, solved[p], F)
-        return row
+        res: dict = {}
+        if isinstance(F, PrimeField):
+            for c, v in row.items():
+                sol = solved.get(c)
+                if sol is None:
+                    res[c] = res.get(c, 0) + v
+                else:
+                    for f, w in sol.items():
+                        res[f] = res.get(f, 0) + v * w
+            p = F.p
+            return {c: r for c, v in res.items() if (r := v % p)}
+        add, mul = F.add, F.mul
+        for c, v in row.items():
+            sol = solved.get(c)
+            if sol is None:
+                cur = res.get(c)
+                res[c] = v if cur is None else add(cur, v)
+            else:
+                for f, w in sol.items():
+                    cur = res.get(f)
+                    res[f] = mul(v, w) if cur is None else add(cur, mul(v, w))
+        is_zero = F.is_zero
+        return {c: v for c, v in res.items() if not is_zero(v)}
 
     def insert(self, row: dict) -> bool:
         """Add a row; returns True if it enlarged the row space."""
@@ -68,7 +103,7 @@ class Echelon:
         if not res:
             return False
         # pivot on the column that disturbs the fewest existing solutions
-        p = min(res, key=lambda c: (len(self._occurs[c]), c))
+        p = min(res, key=lambda c: (len(self._occurs.get(c, ())), c))
         scale = F.neg(F.inv(res.pop(p)))
         sol = {c: F.mul(v, scale) for c, v in res.items()}
         # substitute x_p into the solutions that name it
@@ -89,18 +124,21 @@ class Echelon:
         return not self.reduce(row)
 
 
-def rank(rows, field: Field) -> int:
+def _echelon(rows, field: Field) -> Echelon:
+    """The solved form of the span of rows, fed shortest-first."""
     ech = Echelon(field)
     for row in sorted(rows, key=len):
         ech.insert(row)
-    return ech.rank
+    return ech
+
+
+def rank(rows, field: Field) -> int:
+    return _echelon(rows, field).rank
 
 
 def nullspace(rows, ncols: int, field: Field) -> list[dict]:
     """Basis of {x : row . x = 0 for all rows}, as sparse dicts over ncols columns."""
-    ech = Echelon(field)
-    for row in sorted(rows, key=len):
-        ech.insert(row)
+    ech = _echelon(rows, field)
     basis = []
     for f in range(ncols):
         if f in ech.solved:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import autos
-from .algebra import AlgebraError, MatsuoAlgebra
+from .algebra import AlgebraError, AutosError, MatsuoAlgebra
 from .deriv import (
     LinearEndo, derivation_basis, is_derivation, r_relations, satisfies_r_system, spans_agree
 )
@@ -41,6 +40,8 @@ def _base_algebra(desc: str, field: Field) -> MatsuoAlgebra:
 
 def _param(field: Field, rng: random.Random, nontrivial: bool = False):
     """A random point (c, s) on the circle from t = a/b, with s != 0 when `nontrivial`."""
+    from . import autos
+
     while True:
         t = Fraction(rng.randrange(-20, 21), rng.randrange(1, 12))
         try:
@@ -95,6 +96,8 @@ def equivalence(field: Field, desc: str, rng: random.Random, trials: int) -> tup
 
 def model(field: Field, t: str, rng, trials) -> tuple[bool, dict]:
     """Model B of the root type is isomorphic to M(3^n:W)."""
+    from . import autos
+
     B = autos.ModelB(parse_root_system(t), field)
     autos.model_b_iso(B, _algebra(f"3W:{t}", field))
     return True, {"dim": B.dim}
@@ -102,6 +105,8 @@ def model(field: Field, t: str, rng, trials) -> tuple[bool, dict]:
 
 def torus(field: Field, t: str, rng: random.Random, trials: int) -> tuple[bool, dict]:
     """Torus elements compose as their SO_2 parameters multiply, on `trials` random pairs."""
+    from . import autos
+
     B = autos.ModelB(parse_root_system(t), field)
     rank = B.rs.rank
     for _ in range(trials):
@@ -122,6 +127,8 @@ def torus(field: Field, t: str, rng: random.Random, trials: int) -> tuple[bool, 
 
 def section(field: Field, t: str, rng: random.Random, trials) -> tuple[bool, dict]:
     """Weyl reflections and the diagram flip act on M(3^n:W); torus characters are additive."""
+    from . import autos
+
     rs = parse_root_system(t)
     M = _base_algebra(f"3W:{t}", field)
     for s in rs.simple_roots():
@@ -160,7 +167,7 @@ def run(suite: str, field: Field, groups, types, rng: random.Random, trials: int
         for target in targets[over]:
             try:
                 passed, detail = check(field, target, rng, trials)
-            except (AlgebraError, autos.AutosError, FieldError) as e:
+            except (AlgebraError, AutosError, FieldError) as e:
                 passed, detail = False, {"error": str(e)}
             ledger.append({"check": f"{name} {target}", "passed": passed, "detail": detail})
     return ledger

@@ -448,6 +448,7 @@ LAYERS = {"matsuo.algebra", "matsuo.linalg", "matsuo.deriv", "matsuo.autos", "ma
         (["classify-lines", "S4"], LAYERS | {"dataclasses"}),
         (["build", "S4"], {"matsuo.deriv", "matsuo.autos", "matsuo.verify", "dataclasses"}),
         (["derive", "S4"], {"matsuo.autos", "matsuo.verify"}),
+        (["verify", "fusion", "--group", "S3"], {"matsuo.autos"}),
     ],
 )
 def test_each_command_imports_only_its_layers(argv, absent):

@@ -392,8 +392,10 @@ def test_integer_leibniz_rows_are_scaled_rows_over_q(eta, scale):
     assert rows == [{u: scale * v for u, v in row.items()} for row in build_leibniz_system(A)]
 
 
-def test_r_system_over_q_is_integer_rows():
-    A = _alg("S4")
+@pytest.mark.parametrize("field", [Q, PrimeField(13), PrimeField(MODULUS)], ids=repr)
+def test_r_system_is_integer_rows(field):
+    # the eliminator reads unreduced integer rows over F_p too, so -1 stays -1
+    A = _alg("S4", field)
     rows = build_r_system(A)
     assert rows == list(r_relations(A.fs))
     assert all(type(v) is int for row in rows for v in row.values())

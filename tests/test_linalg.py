@@ -89,6 +89,31 @@ def test_nullspace_over_prime_field_reads_unreduced_integer_rows(p):
         assert nullspace(rows, ncols, F) == nullspace(coerced, ncols, F)
 
 
+# an integer entry: a small value or any int below 2^64, plus a multiple of p;
+# small value 0 puts a multiple of p on a pivot or a free column
+_int_entry = st.tuples(
+    st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64)), st.integers(-2, 2)
+)
+_int_rows = st.lists(st.dictionaries(st.integers(0, 7), _int_entry, max_size=6), max_size=12)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([7, (1 << 61) - 1]), _int_rows, _int_rows)
+def test_echelon_on_integer_rows_matches_the_coerced_rows(p, rows, probes):
+    """Same growth, pivots and residues whether the rows hold integers or their residues."""
+    F = PrimeField(p)
+    rows = [{c: v + k * p for c, (v, k) in row.items()} for row in rows]
+    probes = [{c: v + k * p for c, (v, k) in row.items()} for row in probes]
+    raw, coerced = Echelon(F), Echelon(F)
+    for row in rows:
+        assert raw.insert(row) == coerced.insert({c: F.coerce(v) for c, v in row.items()})
+    assert list(raw.solved) == list(coerced.solved)
+    assert raw.solved == coerced.solved
+    assert all(0 < v < p for sol in raw.solved.values() for v in sol.values())
+    for row in probes:
+        assert raw.reduce(row) == coerced.reduce({c: F.coerce(v) for c, v in row.items()})
+
+
 def test_echelon_insert_reports_growth():
     ech = Echelon(Q)
     assert ech.insert({0: Fraction(1), 1: Fraction(2)})
@@ -167,18 +192,26 @@ def test_in_span_closed_under_combination(coeffs):
 def test_reduce_gives_the_residual_in_every_field():
     """One pass leaves no pivot column, and the residual is row + sum row[p] * solved[p]."""
     rng = random.Random(4)
-    for field in (Q, F7):
+    cases = [
+        (Q, lambda v: Q.coerce(v.numerator)),
+        (F7, lambda v: F7.coerce(v.numerator)),
+        (QS3, lambda v: _value(QS3, v.numerator, rng.randint(-2, 2))),
+        (F7, lambda v: v.numerator + 7 * rng.randint(-2, 2)),  # unreduced integers
+    ]
+    for field, entry in cases:
         ech = Echelon(field)
         for row in _random_rows(rng, 6, 10):
-            ech.insert({c: field.coerce(v.numerator) for c, v in row.items()})
+            ech.insert({c: entry(v) for c, v in row.items()})
         for row in _random_rows(rng, 10, 10):
-            row = {c: field.coerce(v.numerator) for c, v in row.items()}
+            row = {c: entry(v) for c, v in row.items()}
             res = ech.reduce(row)
             assert not set(res) & set(ech.solved)
-            expect = {c: v for c, v in row.items() if c not in ech.solved}
+            # adding zero reduces an unreduced integer to its residue
+            zero = field.zero_raw()
+            expect = {c: field.add(zero, v) for c, v in row.items() if c not in ech.solved}
             for p in set(row) & set(ech.solved):
                 for c, v in ech.solved[p].items():
-                    expect[c] = field.add(expect.get(c, field.zero_raw()), field.mul(row[p], v))
+                    expect[c] = field.add(expect.get(c, zero), field.mul(row[p], v))
             assert res == {c: v for c, v in expect.items() if not field.is_zero(v)}
 
 
