@@ -94,6 +94,44 @@ class FischerSpace:
             points -= comp
         return sorted(out, key=lambda c: (len(c), sorted(c)))
 
+    def preserves_third(self, sigma: list[int]) -> bool:
+        """Whether `sigma` permutes the points with third[sigma i][sigma j] =
+        sigma(third[i][j]) for every pair, -1 kept as -1; n^2 lookups."""
+        third = self.third
+        return sorted(sigma) == list(range(self.n)) and all(
+            [third[si][sj] for sj in sigma] == [t if t < 0 else sigma[t] for t in third[i]]
+            for i, si in enumerate(sigma)
+        )
+
+    def point_orbits(self) -> list[list[int]] | None:
+        """Orbits of the points under the maps x -> x^a that pass `preserves_third`,
+        by smallest point, or None if one fails.  A union-find checks a map only
+        where it joins classes, and stops at one class per component."""
+        root = list(range(self.n))
+
+        def find(x):
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        classes, target = self.n, len(self.components())
+        for a in range(self.n):
+            if classes == target:
+                break
+            sigma = [x if y < 0 else y for x, y in enumerate(self.third[a])]  # x -> x^a
+            joins = [(x, y) for x, y in enumerate(sigma) if find(x) != find(y)]
+            if joins and not self.preserves_third(sigma):
+                return None
+            for x, y in joins:
+                x, y = sorted((find(x), find(y)))
+                if x != y:
+                    root[y] = x  # a class is rooted at its smallest point
+                    classes -= 1
+        orbits: dict[int, list[int]] = {}
+        for x in range(self.n):
+            orbits.setdefault(find(x), []).append(x)
+        return list(orbits.values())
+
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 

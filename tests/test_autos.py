@@ -1,5 +1,6 @@
 """Automorphism constructions: model B, its isomorphism, torus, root maps, ZS_n."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -260,6 +261,32 @@ def test_root_automorphism_d4_triality_flip():
     M = _matsuo("3W:D4", F13)
     # swap the two fork nodes of D4
     root_automorphism(M, diagram_automorphism_matrix(rs, [0, 1, 3, 2]))
+
+
+@pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:3"])
+def test_point_maps_that_preserve_third_are_automorphisms(desc):
+    """The map check of `verify.fusion`'s orbit rule against the multiplicativity
+    check in Python ints: each point map passes both, and so do their products;
+    random permutations and a map that is not one get one verdict from both."""
+    fs = space_of(parse_group(desc))
+    A = MatsuoAlgebra(fs, HALF, Q)
+    assert A.is_matsuo_table()
+    maps = [[x if y < 0 else y for x, y in enumerate(row)] for row in fs.third]  # x -> x^a
+    maps += [[s[t] for t in u] for s, u in zip(maps, maps[1:])]
+    rng = random.Random(0)
+    others = [rng.sample(range(fs.n), fs.n) for _ in range(30)] + [[0] * fs.n]
+    if desc == "S4":  # all 720 permutations of the six points, 24 of them automorphisms
+        others = [list(p) for p in itertools.permutations(range(fs.n))]
+    verdicts = []
+    for sigma in maps + others:
+        endo = LinearEndo(fs.n, [{y: Q.one_raw()} for y in sigma])
+        try:
+            verify_automorphism(A, endo)
+            verdicts.append(True)
+        except VerificationFailure:
+            verdicts.append(False)
+        assert fs.preserves_third(sigma) == verdicts[-1], sigma
+    assert all(verdicts[: len(maps)]) and not all(verdicts)
 
 
 # -- zero-sum symmetric matrix model ----------------------------------------------

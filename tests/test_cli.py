@@ -367,6 +367,9 @@ VERIFY_GOLDEN = {
     "all --trials 2 --group 3W:A2 --field Q(sqrt:3)": "64cc7d8c37b3b2e788ed0bffa5451f6160889a881c84ebde76456f0ecd94c00b",
     "model --type D4 --field Q(sqrt:3)": "f44f3c265c38ca9a51474d6b29822237c7517e3d5efa28cc48ab8473dcfdd13f",
     "all --trials 1 --group S4 --field F5(sqrt:3)": "133de7142a26d39940c43fc48f6c02fdc09e03c4dbf255b93aa5992ff1b4ba13",
+    # recorded while fusion still checked every axis, not one axis per orbit
+    "fusion --group 3W:D4": "0501aa41088a375fd9ce0d1a6c0963357c3fa4c043b4c875b03ae5ccea301d2a",
+    "fusion --group M3:3": "6a56f0d15218511afb2bdd5c8207ecb3ead2c3802105235980a38f6c1e83dd1c",
 }
 
 

@@ -1,7 +1,9 @@
-"""Extension of scalars: the rational verify suites may run over the base field.
+"""The verify suites: extension of scalars, and fusion at one axis per orbit.
 
-Each check below builds the algebra over Q and, explicitly, over Q(sqrt 3),
-and asks that the two give the same verdict.
+The rational suites may run over the base field: the first checks build the
+algebra over Q and, explicitly, over Q(sqrt 3), and ask that the two give the
+same verdict.  The fusion checks ask that one axis per orbit of the point
+maps, under its certificate, gives the report of the check at every axis.
 """
 
 import random
@@ -13,11 +15,12 @@ from matsuo import autos, verify
 from matsuo.algebra import MatsuoAlgebra
 from matsuo.deriv import LinearEndo, derivation_basis
 from matsuo.fields import DivisionByZero, PrimeField, QuadraticExtension, Rationals
-from matsuo.fischer import space_of
+from matsuo.fischer import FischerSpace, space_of
 from matsuo.roots import parse_root_system
 from matsuo.transpo import CATALOG, parse_group
 
 Q = Rationals()
+F7 = PrimeField(7)
 QS3 = QuadraticExtension(Q, 3)
 SMALL = [g for g in CATALOG if space_of(parse_group(g)).n <= 15]
 
@@ -99,3 +102,121 @@ def test_torus_fixed_space_dim_counts_identity_rotations(monkeypatch, t, fixed):
     B = autos.ModelB(parse_root_system(t), F13)
     endo = autos.torus_automorphism(B, draws[: B.rs.rank])
     assert sum(1 for i in range(B.dim) if not B.sub(endo.cols[i], {i: F13.one_raw()})) == fixed
+
+
+# -- fusion: one axis per orbit of the point maps ------------------------------
+
+
+def _lines_space(n, lines):
+    """A Fischer space built by hand: the given lines on the points 0..n-1."""
+    third = [[-1] * n for _ in range(n)]
+    for line in lines:
+        for x in line:
+            for y in line:
+                if x != y:
+                    third[x][y] = sum(line) - x - y
+    return FischerSpace(n, third, [str(x) for x in range(n)], "hand")
+
+
+def _every_axis(A):
+    """The fusion check at every axis, as `verify.fusion` did before the orbit rule."""
+    bad = [v for a in range(A.dim) for v in A.check_fusion(a)]
+    return not bad, bad[:3]
+
+
+def _fusion_on(monkeypatch, A):
+    """The fusion ledger entry of `verify.run` on A, and the axes it checked."""
+    monkeypatch.setattr(verify, "_base_algebra", lambda desc, field: A)
+    axes, check = [], MatsuoAlgebra.check_fusion
+
+    def recording(self, a):
+        axes.append(a)
+        return check(self, a)
+
+    monkeypatch.setattr(MatsuoAlgebra, "check_fusion", recording)
+    (entry,) = verify.run("fusion", A.field, ["G"], [], random.Random(0), 0)
+    return entry, axes
+
+
+def _every_axis_entry(monkeypatch, A):
+    """The ledger entry and the axes checked when `verify.fusion` checks every axis."""
+    with monkeypatch.context() as m:
+        m.setattr(MatsuoAlgebra, "is_matsuo_table", lambda self: False)
+        return _fusion_on(m, A)
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("desc", CATALOG)
+def test_fusion_at_one_axis_per_orbit_agrees_with_every_axis(desc, field):
+    A = verify._base_algebra(desc, field)
+    assert A.is_matsuo_table()  # the certificate is accepted
+    orbits = A.fs.point_orbits()
+    assert orbits is not None and len(orbits) == len(A.fs.components())
+    assert verify.fusion(field, desc, None, 0) == _every_axis(A)
+
+
+@pytest.mark.parametrize(
+    "tamper", ["one entry", "diagonal", "non-collinear pair", "stray key", "asymmetric third"]
+)
+def test_matsuo_table_check_refuses_any_other_table(tamper):
+    A = verify._algebra("S4", Q)
+    assert A.is_matsuo_table()
+    third = A.fs.third
+    i, j = 0, next(b for b in range(A.dim) if A.fs.collinear(0, b))
+    u, v = next((u, v) for u in range(A.dim) for v in range(u + 1, A.dim) if third[u][v] < 0)
+    if tamper == "one entry":
+        A.products[(i, j)] = {**A.products[(i, j)], i: Fraction(1, 3)}
+    elif tamper == "diagonal":
+        A.products[(i, i)] = {i: Fraction(1), j: Fraction(1)}
+    elif tamper == "non-collinear pair":
+        A.products[(u, v)] = {u: Fraction(1, 4)}
+    elif tamper == "stray key":  # (j, i) with i < j is never read, but it is not the table
+        A.products[(j, i)] = A.products[(i, j)]
+    else:  # the table reads third[i][j] for i < j only, and the point maps read both
+        third[j][i] = -1
+    assert not A.is_matsuo_table()
+
+
+def test_fusion_checks_every_axis_of_a_perturbed_table(monkeypatch):
+    A = verify._algebra("S4", Q)  # perturbed as in test_matsuo.py: L_1 is then not semisimple
+    i, j = 0, next(b for b in range(A.dim) if A.fs.collinear(0, b))
+    row = dict(A.products[(i, j)])
+    row[next(iter(row))] += Fraction(1, 3)
+    A.products[(i, j)] = row
+    assert not A.is_matsuo_table() and A.fs.point_orbits() is not None
+    expected = _every_axis_entry(monkeypatch, A)
+    entry, axes = _fusion_on(monkeypatch, A)
+    assert (entry, axes) == expected
+    assert axes == [0, 1] and "axis 1" in entry["detail"]["error"]  # it raises at the same axis
+
+
+@pytest.mark.parametrize(
+    "lines,n,orbits",
+    [
+        ([(0, 2, 4), (1, 3, 5)], 6, [[0, 2, 4], [1, 3, 5]]),  # two disjoint lines
+        # not a Fischer space: x -> x^1 maps the line {0, 3, 4} onto {2, 3, 4}, no line,
+        # and the fusion law fails
+        ([(0, 1, 2), (0, 3, 4)], 5, None),
+    ],
+)
+def test_fusion_on_a_hand_built_space(monkeypatch, lines, n, orbits):
+    fs = _lines_space(n, lines)
+    assert fs.point_orbits() == orbits
+    A = MatsuoAlgebra(fs, Fraction(1, 2), Q)
+    expected = _every_axis_entry(monkeypatch, A)[0]
+    entry, axes = _fusion_on(monkeypatch, A)
+    assert axes == ([o[0] for o in orbits] if orbits else list(range(n)))
+    assert entry == expected and entry["passed"] == (orbits is not None)
+
+
+def test_fusion_reruns_the_orbit_of_a_failing_representative(monkeypatch):
+    def fails(self, a):  # two violations at each of the representatives 0, 1 and at axis 2
+        return [{"axis": a, "law": law, "pair": (0, 0)} for law in ("0*0", "0*eta")] * (a < 3)
+
+    monkeypatch.setattr(MatsuoAlgebra, "check_fusion", fails)
+    A = MatsuoAlgebra(_lines_space(6, [(0, 2, 4), (1, 3, 5)]), Fraction(1, 2), Q)
+    expected = _every_axis(A)
+    entry, axes = _fusion_on(monkeypatch, A)
+    assert axes == [0, 2, 4, 1, 3, 5]
+    assert (entry["passed"], entry["detail"]) == expected
+    assert [v["axis"] for v in entry["detail"]] == [0, 0, 1]  # in axis order, not orbit order
