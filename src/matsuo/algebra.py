@@ -201,17 +201,10 @@ class MatsuoAlgebra(SparseAlgebra):
     def is_matsuo_table(self) -> bool:
         """Whether `products` is the table of eta and a symmetric `fs.third`, and no
         more: then a permutation that preserves `third` is an automorphism."""
-        F, third, products = self.field, self.fs.third, self.products
-        h = F.div(self.eta, F.coerce(2))
-        entries = 0
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                k = third[i][j]
-                row = {i: F.one_raw()} if i == j else {i: h, j: h, k: F.neg(h)} if k >= 0 else None
-                if k != third[j][i] or products.get((i, j)) != row:
-                    return False
-                entries += row is not None
-        return len(products) == entries
+        third, n = self.fs.third, self.dim
+        if any(third[i][j] != third[j][i] for i in range(n) for j in range(i)):
+            return False
+        return self.products == MatsuoAlgebra(self.fs, self.eta, self.field).products
 
     # -- axes and fusion --------------------------------------------------------
 

@@ -9,7 +9,8 @@ Over Q both systems are built once, as integer rows: the (R1)-(R7) rows are
 integral, and the Leibniz rows come from the structure constants with their
 denominators cleared.  Those rows are solved modulo the prime MODULUS, and
 the lifted basis is certified against the same rows in Python ints, with the
-solve over Q as the fallback (see `_lifted_basis`).
+solve over Q as the fallback (see `_lifted_basis`).  `satisfies_r_system`
+runs the same row check (`_orthogonal`) over every field.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
 from .fields import DivisionByZero, PrimeField, Rationals
-from .linalg import axpy, dot, rank, rational_lift
+from .linalg import axpy, rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
 
@@ -83,14 +84,18 @@ def is_derivation(A: SparseAlgebra, d: LinearEndo) -> bool:
     return form.failing_pair(A.dim, residual) is None
 
 
-def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
+def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list[dict]:
     """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule.
 
-    Only the field's add, neg and is_zero are used, so on an `_IntegerTable`
-    the rows come out as integer rows.
+    `products` is the table read, A's by default.  Only the field's add, neg and
+    is_zero are used, so a table of ints over Q gives integer rows.
     """
-    F = A.field
-    n = A.dim
+    F, n = A.field, A.dim
+    products = A.products if products is None else products
+
+    def prod(i, j):
+        return products.get((i, j) if i <= j else (j, i), {})
+
     rows = []
     for a in range(n):
         for b in range(a, n):
@@ -99,16 +104,16 @@ def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
             # the two sums name disjoint unknowns unless a = b, where they coincide
             byc: dict[int, dict] = {}
             for y in range(n):
-                for c, v in A.basis_product(y, b).items():
+                for c, v in prod(y, b).items():
                     byc.setdefault(c, {})[a * n + y] = v
                 if a != b:
-                    for c, v in A.basis_product(a, y).items():
+                    for c, v in prod(a, y).items():
                         byc.setdefault(c, {})[b * n + y] = v
             if a == b:
                 for c in byc:
                     byc[c] = {u: F.add(v, v) for u, v in byc[c].items()}
             # -d(ab): u[x,c] is already present only for x in (a, b), at y = c
-            for x, w in A.basis_product(a, b).items():
+            for x, w in prod(a, b).items():
                 w = F.neg(w)
                 for c in range(n):
                     row = byc.setdefault(c, {})
@@ -120,22 +125,6 @@ def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
                         row[u] = v
             rows.extend(r for r in byc.values() if r)
     return rows
-
-
-class _IntegerTable(SparseAlgebra):
-    """The structure constants of A over Q times L, the lcm of their denominators.
-
-    The entries are ints, on which Q's add, neg and is_zero stay in the ints,
-    so `build_leibniz_system` on this table yields integer rows.  Leibniz rows
-    are linear in the product, so these are L times the rows over Q.
-    """
-
-    def __init__(self, A: MatsuoAlgebra):
-        self.field = A.field
-        self.dim = A.dim
-        form = IntegerForm(A.field, A.products.values())
-        self.scale = form.scale
-        self.products = {ij: r for ij, (r, _) in form.table(A.products).items()}
 
 
 def r_relations(fs):
@@ -218,11 +207,26 @@ def build_r_system(A: MatsuoAlgebra) -> list[dict]:
 def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo, rows=None) -> bool:
     """Whether d satisfies (R1)-(R7); `rows` may hold `r_relations(A.fs)` built once."""
     require_eta_half(A)
-    F = A.field
-    vec = d.to_vector()
-    for row in r_relations(A.fs) if rows is None else rows:
-        if not F.is_zero(dot({u: F.coerce(c) for u, c in row.items()}, vec, F)):
-            return False
+    return _orthogonal(r_relations(A.fs) if rows is None else rows, [d.to_vector()], A.field)
+
+
+def _orthogonal(rows, vectors: list[dict], field) -> bool:
+    """Whether each vector over `field` is orthogonal to every integer row, in Python ints.
+
+    Each vector's denominators are cleared once (see `IntegerForm`); over F_p a
+    sum is zero mod p, over F(sqrt d) its rational and sqrt parts both vanish.
+    A row that meets no vector's support is orthogonal to all of them.
+    """
+    p = field.characteristic
+    parts = [part for x in vectors for part in IntegerForm(field, [x]).vector(x) if part]
+    support = set().union(*parts)
+    for row in rows:
+        if support.isdisjoint(row):
+            continue
+        for x in parts:
+            t = sum(c * x[u] for u, c in row.items() if u in x)
+            if t % p if p else t:
+                return False
     return True
 
 
@@ -236,7 +240,10 @@ def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
     """The Leibniz or the (R1)-(R7) rows of A; over Q, integer rows."""
     if system == "r":
         return build_r_system(A)
-    return build_leibniz_system(_IntegerTable(A) if isinstance(A.field, Rationals) else A)
+    if isinstance(A.field, Rationals):  # the table times the lcm of its denominators
+        table = IntegerForm(A.field, A.products.values()).table(A.products)
+        return build_leibniz_system(A, {ij: r for ij, (r, _) in table.items()})
+    return build_leibniz_system(A)
 
 
 def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
@@ -259,9 +266,8 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
     stands: the eliminator reads unreduced integers.  The nullspace is
     lifted entrywise by rational reconstruction.  The k lifted vectors are
     independent, as each is 1 on its own free column and 0 on the others.  If
-    each, with its denominators cleared, is orthogonal to every integer row,
-    they span the nullspace over Q, since rank_p <= rank_Q bounds nullity_Q by k.
-    A row that meets none of their supports is orthogonal to all of them.
+    each is orthogonal to every integer row (`_orthogonal`), they span the
+    nullspace over Q, since rank_p <= rank_Q bounds nullity_Q by k.
     """
     Fp = PrimeField(MODULUS)
     try:
@@ -278,14 +284,8 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
         if None in lifted.values():
             return None
         basis.append(lifted)
-    cleared = [IntegerForm(A.field, [x]).vector(x)[0] for x in basis]
-    support = set().union(*cleared)
-    for row in rows:
-        if support.isdisjoint(row):  # orthogonal to every vector
-            continue
-        for x in cleared:
-            if sum(c * x[u] for u, c in row.items() if u in x):
-                return None
+    if not _orthogonal(rows, basis, A.field):
+        return None
     return [LinearEndo.from_vector(n, x) for x in basis]
 
 

@@ -38,16 +38,6 @@ class FischerSpace:
             frozenset(j for j in range(n) if third[i][j] >= 0) for i in range(n)
         ]
 
-    @classmethod
-    def from_group(cls, g: TranspoGroup) -> "FischerSpace":
-        n = g.size
-        third = [
-            [g.conj[i][j] if g.collinear(i, j) else -1 for j in range(n)]
-            for i in range(n)
-        ]
-        labels = [g.payload_str(i) for i in range(n)]
-        return cls(n, third, labels, g.family, payloads=g.points, group=g)
-
     def collinear(self, i: int, j: int) -> bool:
         return self.third[i][j] >= 0
 
@@ -148,20 +138,6 @@ class FischerSpace:
         roots = {self.payloads[i][1] for i in line}
         return "vertical" if len(roots) == 1 else "horizontal"
 
-    def _is_vertical_in(self, line, comp: frozenset) -> bool:
-        if self.family == "affine_weyl":
-            return len({self.payloads[i][1] for i in line}) == 1
-        # plane criterion: every plane through the line inside comp is affine
-        lset = set(line)
-        a = line[0]
-        for p in comp - lset:
-            sub = self.component_of(self.closure(lset | {p}), a)
-            if len(sub) == 3:
-                continue
-            if len(sub) != 9:
-                return False
-        return True
-
     def is_near_solid(self, line) -> tuple[bool, dict | None]:
         """Decide near-solidity of a line; on failure return the offending subspace.
 
@@ -183,7 +159,8 @@ class FischerSpace:
                 t = self._component_type(comp)
                 if t in ("ThreeGen", "S5"):
                     continue
-                if t == "AffA3" and self._is_vertical_in(line, comp):
+                # an 18-point closure of a line and two points occurs in 3^n:W only
+                if t == "AffA3" and self.line_orbit_class(line) == "vertical":
                     continue
                 return False, {"type": t, "points": sorted(comp)}
         return True, None
@@ -216,4 +193,8 @@ class FischerSpace:
 
 
 def space_of(g: TranspoGroup) -> FischerSpace:
-    return FischerSpace.from_group(g)
+    """The Fischer space of g: collinear points x, y span the line {x, y, x^y}."""
+    n = g.size
+    third = [[g.conj[i][j] if g.collinear(i, j) else -1 for j in range(n)] for i in range(n)]
+    labels = [g.payload_str(i) for i in range(n)]
+    return FischerSpace(n, third, labels, g.family, payloads=g.points, group=g)

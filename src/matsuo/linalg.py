@@ -166,15 +166,3 @@ def rational_lift(a: int, p: int) -> Fraction | None:
         return None
     return Fraction(r1, t1)
 
-
-def dot(row: dict, vec: dict, field: Field):
-    """Sparse dot product of two {col: raw} dicts."""
-    F = field
-    if len(row) > len(vec):
-        row, vec = vec, row
-    acc = F.zero_raw()
-    for c, v in row.items():
-        w = vec.get(c)
-        if w is not None:
-            acc = F.add(acc, F.mul(v, w))
-    return acc

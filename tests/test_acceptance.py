@@ -131,13 +131,12 @@ def test_criterion_2_system_equivalence(field, fname):
 
 
 @pytest.mark.parametrize("field,fname", [(Q, "Q"), (F7, "F7")], ids=["Q", "F7"])
-def test_criterion_3_fusion_suite(field, fname):
+def test_criterion_3_fusion_suite(field, fname, every_axis_fusion):
     ok, detail = True, ""
     for desc in CATALOG:
         A = _alg(desc, field=field)
-        for a in range(A.dim):
-            dec = A.eigendecompose(a)
-            if sum(dec.dims) != A.dim or A.check_fusion(a):
+        for a, (dims, violations) in enumerate(every_axis_fusion(desc, field)):
+            if sum(dims) != A.dim or violations:
                 ok, detail = False, f"{desc} axis {a}"
                 break
         if not ok:

@@ -8,7 +8,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from matsuo import deriv
-from matsuo.algebra import BadEta, MatsuoAlgebra
+from matsuo.algebra import BadEta, IntegerForm, MatsuoAlgebra
 from matsuo.deriv import (
     MODULUS,
     LinearEndo,
@@ -29,6 +29,7 @@ from matsuo.transpo import CATALOG, parse_group
 
 Q = Rationals()
 F7 = PrimeField(7)
+QS3 = parse_field("Q(sqrt:3)")
 HALF = Fraction(1, 2)
 
 # derivation dimensions established by two independent systems plus the
@@ -87,26 +88,39 @@ def test_system_equivalence(desc, field):
     assert spans_agree(A, leib, rsys)
 
 
-@pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:2"])
-def test_random_maps_satisfy_r_iff_derivation(desc):
-    A = _alg(desc)
+@pytest.mark.parametrize(
+    "desc,field",
+    [
+        pytest.param(desc, field, id=desc if name == "Q" else f"{desc}-{name}")
+        for name, field in (("Q", Q), ("F7", F7), ("Q(sqrt:3)", QS3))
+        for desc in ("S4", "3W:A2", "M3:2")
+    ],
+)
+def test_random_maps_satisfy_r_iff_derivation(desc, field):
+    A = _alg(desc, field)
+    F = A.field
     rng = random.Random(11)
     basis = derivation_basis(A, system="leibniz")
     rows = list(r_relations(A.fs))
+    # over Q(sqrt:3) a derivation d is mixed in as (1 + sqrt 3) d, and odd trials
+    # draw entries v sqrt 3: a mixed map's rational part is then d, its sqrt part not
+    unit = F.coerce((1, 1)) if F == QS3 else F.one_raw()
     for trial in range(20):
         cols = [
             {
-                b: Fraction(rng.randint(-2, 2))
+                b: F.coerce((0, v) if F == QS3 and trial % 2 else v)
                 for b in rng.sample(range(A.dim), min(3, A.dim))
+                if (v := rng.randint(-2, 2))
             }
             for _ in range(A.dim)
         ]
-        cols = [{b: v for b, v in c.items() if v} for c in cols]
         if trial % 3 == 0 and basis:
             # mix a genuine derivation in to hit the positive branch too
             d0 = basis[trial % len(basis)]
-            one = A.field.one_raw()
-            cols = [axpy(c, one, d, A.field) for c, d in zip(cols, d0.cols)] if trial % 6 else d0.cols
+            if trial % 6:
+                cols = [axpy(c, unit, d, F) for c, d in zip(cols, d0.cols)]
+            else:
+                cols = [A.scale(unit, d) for d in d0.cols]
         d = LinearEndo(A.dim, cols)
         assert satisfies_r_system(A, d) == is_derivation(A, d)
         assert satisfies_r_system(A, d, rows) == satisfies_r_system(A, d)
@@ -385,9 +399,10 @@ def test_leibniz_builder_matches_naive_expansion(desc, field, eta):
 def test_integer_leibniz_rows_are_scaled_rows_over_q(eta, scale):
     # the table holds 1 and +-eta/2, so the scale is the denominator of eta/2
     A = MatsuoAlgebra(space_of(parse_group("3W:A2")), eta, Q)
-    table = deriv._IntegerTable(A)
-    assert table.scale == scale
-    rows = build_leibniz_system(table)
+    form = IntegerForm(Q, A.products.values())
+    assert form.scale == scale
+    rows = build_leibniz_system(A, {ij: r for ij, (r, _) in form.table(A.products).items()})
+    assert rows == deriv._build_system(A, "leibniz")
     assert all(type(v) is int for row in rows for v in row.values())
     assert rows == [{u: scale * v for u, v in row.items()} for row in build_leibniz_system(A)]
 

@@ -100,6 +100,25 @@ def test_line_orbit_class_rejects_other_families():
         fs.line_orbit_class(fs.lines[0])
 
 
+def test_eighteen_point_components_occur_in_affine_weyl_spaces_only(monkeypatch):
+    """`is_near_solid` reads an AffA3 component's lines with `line_orbit_class`,
+    which only 3^n:W spaces have.  Elsewhere the closure of a line and two points
+    is smaller: at most S5 (10 points) in S_n, a root subsystem of rank <= 4
+    (1, 3, 6, 10 or 12 points) in W(ADE), an affine space of <= 27 points in 3^n:2."""
+    types, kind = [], FischerSpace._component_type
+
+    def recording(self, comp):
+        types.append(kind(self, comp))
+        return types[-1]
+
+    monkeypatch.setattr(FischerSpace, "_component_type", recording)
+    for desc in ("S6", "W:E6", "M3:4"):
+        fs = _space(desc)
+        for orbit in fs.line_orbits():  # as `classify-lines` does
+            fs.is_near_solid(fs.lines[orbit[0]])
+    assert types and "AffA3" not in types
+
+
 def test_s5_all_lines_near_solid():
     fs = _space("S5")
     for line in fs.lines:

@@ -120,13 +120,14 @@ def test_eta_eigenvector_structure():
 
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
 @pytest.mark.parametrize("desc", CATALOG)
-def test_fusion_law_every_axis(desc, field):
+def test_fusion_law_every_axis(desc, field, every_axis_fusion):
     A = _alg(desc, field=field)
-    for a in range(A.dim):
-        dec = A.eigendecompose(a)
-        assert sum(dec.dims) == A.dim
-        assert dec.dims[0] == 1  # primitive
-        assert A.check_fusion(a) == []
+    axes = every_axis_fusion(desc, field)
+    assert len(axes) == A.dim
+    for dims, violations in axes:
+        assert sum(dims) == A.dim
+        assert dims[0] == 1  # primitive
+        assert violations == []
 
 
 def test_perturbed_structure_constants_violate_fusion():

@@ -26,7 +26,7 @@ TESTS = os.path.dirname(os.path.realpath(__file__))
 LADDER = [
     ["build", "S4", "--products"],  # the product table export
     ["derive", "3W:A1", "--field", "Q(sqrt:3)"],  # QuadraticExtension.format
-    ["classify-lines", "3W:A3"],  # _is_vertical_in on an affine Weyl space
+    ["classify-lines", "3W:A3"],  # line_orbit_class on an 18-point (AffA3) component
     ["classify-lines", "M3:3"],
     # F13 has sqrt(-1), so section runs the character check
     ["verify", "all", "--group", "W:A2", "--type", "A2", "--trials", "1", "--field", "F13"],

@@ -118,9 +118,10 @@ def _lines_space(n, lines):
     return FischerSpace(n, third, [str(x) for x in range(n)], "hand")
 
 
-def _every_axis(A):
-    """The fusion check at every axis, as `verify.fusion` did before the orbit rule."""
-    bad = [v for a in range(A.dim) for v in A.check_fusion(a)]
+def _every_axis(per_axis):
+    """The verdict of `verify.fusion` from the violations at every axis, as it
+    was before the orbit rule."""
+    bad = [v for found in per_axis for v in found]
     return not bad, bad[:3]
 
 
@@ -147,12 +148,13 @@ def _every_axis_entry(monkeypatch, A):
 
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
 @pytest.mark.parametrize("desc", CATALOG)
-def test_fusion_at_one_axis_per_orbit_agrees_with_every_axis(desc, field):
+def test_fusion_at_one_axis_per_orbit_agrees_with_every_axis(desc, field, every_axis_fusion):
     A = verify._base_algebra(desc, field)
     assert A.is_matsuo_table()  # the certificate is accepted
     orbits = A.fs.point_orbits()
     assert orbits is not None and len(orbits) == len(A.fs.components())
-    assert verify.fusion(field, desc, None, 0) == _every_axis(A)
+    expected = _every_axis(found for _, found in every_axis_fusion(desc, field))
+    assert verify.fusion(field, desc, None, 0) == expected
 
 
 @pytest.mark.parametrize(
@@ -215,7 +217,7 @@ def test_fusion_reruns_the_orbit_of_a_failing_representative(monkeypatch):
 
     monkeypatch.setattr(MatsuoAlgebra, "check_fusion", fails)
     A = MatsuoAlgebra(_lines_space(6, [(0, 2, 4), (1, 3, 5)]), Fraction(1, 2), Q)
-    expected = _every_axis(A)
+    expected = _every_axis(A.check_fusion(a) for a in range(A.dim))
     entry, axes = _fusion_on(monkeypatch, A)
     assert axes == [0, 2, 4, 1, 3, 5]
     assert (entry["passed"], entry["detail"]) == expected
