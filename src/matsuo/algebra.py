@@ -7,6 +7,7 @@ the exact checks of maps (multiplicativity, the Leibniz rule) in Python ints.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .fields import Field, QuadraticExtension, field_name
@@ -82,6 +83,12 @@ class SparseAlgebra:
     def sub(self, x: dict, y: dict) -> dict:
         F = self.field
         return axpy(dict(x), F.neg(F.one_raw()), y, F)
+
+    @cached_property
+    def integer_table(self) -> dict:
+        """The table in the `IntegerForm` of its own denominators, built on first use and
+        kept: `products` must not change after that."""
+        return IntegerForm(self.field, self.products.values()).table(self.products)
 
 
 class IntegerForm:

@@ -15,6 +15,8 @@ runs the same row check (`_orthogonal`) over every field.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
 from .fields import DivisionByZero, PrimeField, Rationals
@@ -66,11 +68,11 @@ class LinearEndo:
 def is_derivation(A: SparseAlgebra, d: LinearEndo) -> bool:
     """Whether d(e_i e_j) = d(e_i) e_j + e_i d(e_j) on every basis pair, checked in Python ints.
 
-    With the table and the images of d both times L (see `IntegerForm`), each
-    side comes out times L^2.
+    With the table times T (`A.integer_table`) and the images of d times S, each
+    side comes out times T S.
     """
-    form = IntegerForm(A.field, A.products.values(), d.cols)
-    table = form.table(A.products)
+    table = A.integer_table
+    form = IntegerForm(A.field, d.cols)
     cols = [form.vector(c) for c in d.cols]
 
     def residual(i, j):
@@ -91,35 +93,37 @@ def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list
     is_zero are used, so a table of ints over Q gives integer rows.
     """
     F, n = A.field, A.dim
-    products = A.products if products is None else products
-
-    def prod(i, j):
-        return products.get((i, j) if i <= j else (j, i), {})
-
+    add, neg, is_zero = F.add, F.neg, F.is_zero
+    # index[i][j] is the product of i and j: the table's own dict, or one shared empty one
+    index = [[{}] * n for _ in range(n)]
+    for (i, j), p in (A.products if products is None else products).items():
+        index[i][j] = index[j][i] = p
     rows = []
     for a in range(n):
+        Pa, ua = index[a], range(a * n, a * n + n)
         for b in range(a, n):
-            # coordinate c of d(a)b + a d(b) - d(ab):
+            Pb, ub = index[b], range(b * n, b * n + n)
+            # byc[c] is coordinate c of d(a)b + a d(b) - d(ab), in the order c first occurs:
             #   sum_y (y*b)_c u[a,y] + sum_y (a*y)_c u[b,y] - sum_x (ab)_x u[x,c]
             # the two sums name disjoint unknowns unless a = b, where they coincide
-            byc: dict[int, dict] = {}
-            for y in range(n):
-                for c, v in prod(y, b).items():
-                    byc.setdefault(c, {})[a * n + y] = v
-                if a != b:
-                    for c, v in prod(a, y).items():
-                        byc.setdefault(c, {})[b * n + y] = v
+            byc: defaultdict = defaultdict(dict)
             if a == b:
-                for c in byc:
-                    byc[c] = {u: F.add(v, v) for u, v in byc[c].items()}
+                for uay, pyb in zip(ua, Pb):
+                    for c, v in pyb.items():
+                        byc[c][uay] = add(v, v)
+            else:
+                for uay, uby, pyb, pay in zip(ua, ub, Pb, Pa):
+                    for c, v in pyb.items():
+                        byc[c][uay] = v
+                    for c, v in pay.items():
+                        byc[c][uby] = v
             # -d(ab): u[x,c] is already present only for x in (a, b), at y = c
-            for x, w in prod(a, b).items():
-                w = F.neg(w)
-                for c in range(n):
-                    row = byc.setdefault(c, {})
-                    u = x * n + c
-                    v = F.add(row[u], w) if u in row else w
-                    if F.is_zero(v):
+            for x, w in Pa[b].items():
+                w = neg(w)
+                for c, u in enumerate(range(x * n, x * n + n)):
+                    row = byc[c]
+                    v = add(row[u], w) if u in row else w
+                    if is_zero(v):
                         del row[u]
                     else:
                         row[u] = v
@@ -134,56 +138,47 @@ def r_relations(fs):
     so nonzero in every odd characteristic.  No row names an unknown twice:
     (R5)-(R7) draw on the distinct images of a, b and a^b, and in (R4)
     c^a^b = c would put b on the line through c and a.  The coefficient 2
-    occurs in (R7) rows only.
+    occurs in (R7) rows only.  Each row is yielded once: (R2) at (a, b) and
+    (a, b^a), (R4) at c and c^a^b, and (R6) at (a, b) and (b, a) are one row,
+    kept where b < b^a, c < c^a^b and a < b, as a loop over all points meets it.
     """
     n = fs.n
-    third = fs.third
+    third = fs.third  # symmetric, and -1 on the diagonal
+    nbrs = [sorted(adj) for adj in fs.adjacency]  # the loops walk these, not all n points
 
-    def coll(i, j):
-        return third[i][j] >= 0
+    for a, row_a in enumerate(third):
+        yield {a * n + a: 1}  # (R1)
+        for b, ba in enumerate(row_a):
+            if ba < 0 and b != a:
+                yield {a * n + b: 1}  # (R3)
+            elif b < ba:
+                yield {a * n + b: 1, a * n + ba: 1}  # (R2)
 
-    for a in range(n):
-        # (R1)
-        yield {a * n + a: 1}
-        for b in range(n):
-            if b == a:
-                continue
-            if coll(a, b):
-                # (R2)
-                yield {a * n + b: 1, a * n + third[a][b]: 1}
-            else:
-                # (R3)
-                yield {a * n + b: 1}
-
-    for a in range(n):
+    for a, row_a in enumerate(third):
         for b in range(a + 1, n):
-            if coll(a, b):
+            if row_a[b] >= 0:
                 continue
-            # (R4): a perp b, c a common neighbour
-            for c in range(n):
-                if coll(a, c) and coll(b, c):
-                    cab = third[third[c][a]][b]
+            row_b = third[b]  # (R4): a perp b, c a common neighbour
+            for c in nbrs[a]:
+                if row_b[c] >= 0 and c < (cab := row_b[row_a[c]]):
                     yield {a * n + c: 1, b * n + c: 1, a * n + cab: 1, b * n + cab: 1}
 
-    for a in range(n):
-        for b in range(n):
-            if a == b or not coll(a, b):
-                continue
-            ab = third[a][b]
+    for a, row_a in enumerate(third):
+        for b in nbrs[a]:
+            ab, row_b = row_a[b], third[b]
             # (R5): d(a^b)_e = d(a)_e + d(b)_{e^a} for a noncommuting with b, e and b perp e
-            for e in range(n):
-                if e != b and coll(a, e) and not coll(b, e) and e != a:
-                    yield {ab * n + e: 1, a * n + e: -1, b * n + third[e][a]: -1}
+            for e in nbrs[a]:
+                if e != b and row_b[e] < 0:
+                    yield {ab * n + e: 1, a * n + e: -1, b * n + row_a[e]: -1}
             # (R6): e noncommuting with a, b and a^b
-            for e in range(n):
-                if e in (a, b, ab):
-                    continue
-                if coll(a, e) and coll(b, e) and coll(ab, e):
-                    yield {ab * n + e: 1, a * n + third[e][b]: -1, b * n + third[e][a]: -1}
+            if a < b:
+                for e in nbrs[a]:
+                    if row_b[e] >= 0 and third[ab][e] >= 0:
+                        yield {ab * n + e: 1, a * n + row_b[e]: -1, b * n + row_a[e]: -1}
             # (R7): 2 d(b)_a + d(a)_b + d(a^b)_a - sum_{a perp e, b noncommuting e} d(b)_e
             row = {b * n + a: 2, a * n + b: 1, ab * n + a: 1}
-            for e in range(n):
-                if e != a and not coll(a, e) and coll(b, e):  # e commutes with a, e != a
+            for e in nbrs[b]:
+                if e != a and row_a[e] < 0:  # e commutes with a, e != a
                     row[b * n + e] = -1
             yield row
 
@@ -241,8 +236,7 @@ def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
     if system == "r":
         return build_r_system(A)
     if isinstance(A.field, Rationals):  # the table times the lcm of its denominators
-        table = IntegerForm(A.field, A.products.values()).table(A.products)
-        return build_leibniz_system(A, {ij: r for ij, (r, _) in table.items()})
+        return build_leibniz_system(A, {ij: r for ij, (r, _) in A.integer_table.items()})
     return build_leibniz_system(A)
 
 
@@ -250,8 +244,6 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEn
     """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms."""
     if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
-    if system == "r":
-        require_eta_half(A)
     if isinstance(A.field, Rationals):
         basis = _lifted_basis(A, system)
         if basis is not None:

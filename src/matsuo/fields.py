@@ -166,7 +166,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a % self.p == 0:
             raise DivisionByZero(f"1/0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0

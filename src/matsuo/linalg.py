@@ -124,11 +124,12 @@ class Echelon:
         return not self.reduce(row)
 
 
-def _echelon(rows, field: Field) -> Echelon:
-    """The solved form of the span of rows, fed shortest-first."""
+def _echelon(rows, field: Field, ncols: int | None = None) -> Echelon:
+    """The solved form of the span of rows, fed shortest-first until all `ncols` are pivots."""
     ech = Echelon(field)
     for row in sorted(rows, key=len):
-        ech.insert(row)
+        if ech.insert(row) and ech.rank == ncols:
+            break
     return ech
 
 
@@ -138,7 +139,7 @@ def rank(rows, field: Field) -> int:
 
 def nullspace(rows, ncols: int, field: Field) -> list[dict]:
     """Basis of {x : row . x = 0 for all rows}, as sparse dicts over ncols columns."""
-    ech = _echelon(rows, field)
+    ech = _echelon(rows, field, ncols)
     basis = []
     for f in range(ncols):
         if f in ech.solved:

@@ -7,7 +7,7 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from matsuo import deriv
+from matsuo import deriv, linalg
 from matsuo.algebra import BadEta, IntegerForm, MatsuoAlgebra
 from matsuo.deriv import (
     MODULUS,
@@ -420,3 +420,142 @@ def test_r_relations_have_small_integer_coefficients():
     for desc in ("S5", "3W:A3", "M3:3"):
         coeffs = {v for row in r_relations(_alg(desc).fs) for v in row.values()}
         assert coeffs <= {-2, -1, 1, 2}
+
+
+def _r_relations_brute(fs):
+    """(R1)-(R7) by a loop over all points, each row as often as the families name it."""
+    n, third = fs.n, fs.third
+
+    def coll(i, j):
+        return third[i][j] >= 0
+
+    for a in range(n):
+        yield {a * n + a: 1}
+        for b in range(n):
+            if b != a:
+                if coll(a, b):
+                    yield {a * n + b: 1, a * n + third[a][b]: 1}
+                else:
+                    yield {a * n + b: 1}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not coll(a, b):
+                for c in range(n):
+                    if coll(a, c) and coll(b, c):
+                        cab = third[third[c][a]][b]
+                        yield {a * n + c: 1, b * n + c: 1, a * n + cab: 1, b * n + cab: 1}
+    for a in range(n):
+        for b in range(n):
+            if a == b or not coll(a, b):
+                continue
+            ab = third[a][b]
+            for e in range(n):
+                if e not in (a, b) and coll(a, e) and not coll(b, e):
+                    yield {ab * n + e: 1, a * n + e: -1, b * n + third[e][a]: -1}
+            for e in range(n):
+                if e not in (a, b, ab) and coll(a, e) and coll(b, e) and coll(ab, e):
+                    yield {ab * n + e: 1, a * n + third[e][b]: -1, b * n + third[e][a]: -1}
+            row = {b * n + a: 2, a * n + b: 1, ab * n + a: 1}
+            for e in range(n):
+                if e != a and not coll(a, e) and coll(b, e):
+                    row[b * n + e] = -1
+            yield row
+
+
+@pytest.mark.parametrize("desc", ["S5", "W:D4", "3W:A3", "3W:D4", "M3:3"])
+def test_r_relations_yield_each_brute_force_row_once(desc):
+    """The rows are the brute-force set, none twice: the first copy of each, in the
+    order the brute-force loop first reaches it, with its coefficients in its order."""
+    fs = space_of(parse_group(desc))
+    rows = list(r_relations(fs))
+    first = {}
+    for row in _r_relations_brute(fs):
+        first.setdefault(frozenset(row.items()), list(row.items()))
+    assert len({frozenset(row.items()) for row in rows}) == len(rows)
+    assert {frozenset(row.items()) for row in rows} == set(first)
+    assert [list(row.items()) for row in rows] == list(first.values())
+
+
+def _generic_leibniz_rows(A, products):
+    """Coordinate c of d(a)b + a d(b) - d(ab), a <= b, with one table lookup per (y, b)."""
+    F, n = A.field, A.dim
+
+    def prod(i, j):
+        return products.get((i, j) if i <= j else (j, i), {})
+
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            byc = {}
+            for y in range(n):
+                for c, v in prod(y, b).items():
+                    byc.setdefault(c, {})[a * n + y] = v
+                if a != b:
+                    for c, v in prod(a, y).items():
+                        byc.setdefault(c, {})[b * n + y] = v
+            if a == b:
+                for c in byc:
+                    byc[c] = {u: F.add(v, v) for u, v in byc[c].items()}
+            for x, w in prod(a, b).items():
+                w = F.neg(w)
+                for c in range(n):
+                    row = byc.setdefault(c, {})
+                    u = x * n + c
+                    v = F.add(row[u], w) if u in row else w
+                    if F.is_zero(v):
+                        del row[u]
+                    else:
+                        row[u] = v
+            rows.extend(r for r in byc.values() if r)
+    return rows
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(13), QS3], ids=repr)
+@pytest.mark.parametrize("desc", ["S4", "W:D4", "3W:A2", "M3:2"])
+def test_leibniz_builder_keeps_the_generic_row_list(desc, field):
+    """Row for row and in order, each row's coefficients in their order; over Q the
+    integer table of `_build_system` is read."""
+    A = _alg(desc, field)
+    if field == Q:
+        products = {ij: r for ij, (r, _) in A.integer_table.items()}
+        rows = deriv._build_system(A, "leibniz")
+    else:
+        products, rows = A.products, build_leibniz_system(A)
+    oracle = _generic_leibniz_rows(A, products)
+    assert rows == oracle
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
+
+
+@pytest.mark.parametrize("desc", ["W:D4", "M3:3", "W:E6"])
+def test_nullspace_stops_feeding_rows_at_full_rank(monkeypatch, desc):
+    """Der = 0 here: once every column is a pivot the rest of the rows are not read,
+    and the solved form is the one the full run ends with."""
+    A = _alg(desc)
+    ncols = A.dim * A.dim
+    Fp = PrimeField(MODULUS)
+    for system in ("leibniz", "r"):
+        rows = deriv._build_system(A, system)
+        full = linalg._echelon(rows, Fp)
+        assert full.rank == ncols
+        inserts, insert = [], linalg.Echelon.insert
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda *a: inserts.append(a) or insert(*a))
+        early = linalg._echelon(rows, Fp, ncols)
+        monkeypatch.undo()
+        assert early.solved == full.solved
+        assert len(inserts) < len(rows)
+        assert linalg.nullspace(rows, ncols, Fp) == []
+
+
+def test_is_derivation_reads_the_integer_table_of_the_algebra(monkeypatch):
+    """Once the table is cleared of its denominators, each check clears only the
+    images of d: n vectors, where rebuilding the table would clear every product."""
+    A = _alg("3W:A2")
+    basis = derivation_basis(A, "leibniz") + derivation_basis(A, "r")
+    table = A.integer_table
+    cleared, vector = [], IntegerForm.vector
+    monkeypatch.setattr(IntegerForm, "vector", lambda form, x: cleared.append(x) or vector(form, x))
+    for d in basis:
+        assert is_derivation(A, d)
+    assert not is_derivation(A, LinearEndo(A.dim, [{a: 1} for a in range(A.dim)]))
+    assert len(cleared) == (len(basis) + 1) * A.dim
+    assert A.integer_table is table

@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, square roots, descriptor parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,20 @@ def test_inverse_roundtrip(a):
 def test_rational_inverse_of_an_int_stays_exact():
     assert Q.inv(3) == Fraction(1, 3) and isinstance(Q.inv(3), Fraction)
     assert Q.div(Fraction(1), 3) == Fraction(1, 3) and isinstance(Q.div(Fraction(1), 3), Fraction)
+
+
+@pytest.mark.parametrize("p", [13, (1 << 61) - 1])
+def test_prime_field_inverse_agrees_with_fermat(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        a = rng.randrange(1, p)
+        assert F.inv(a) == pow(a, p - 2, p)
+        # an unreduced representative, negative ones included, has the same inverse
+        assert F.inv(a + p * rng.randrange(-3, 4)) == pow(a, p - 2, p)
+    for z in (0, p, -p, 7 * p):
+        with pytest.raises(DivisionByZero):
+            F.inv(z)
 
 
 def test_prime_field_rejects_two_and_composites():

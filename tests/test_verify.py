@@ -46,11 +46,10 @@ def test_rational_suites_build_over_the_base_field():
 
 
 @pytest.mark.parametrize("desc", SMALL)  # includes 3W:A2 (dim 9)
-def test_fusion_and_derivations_agree_over_q_and_q_sqrt3(desc):
+def test_fusion_and_derivations_agree_over_q_and_q_sqrt3(desc, every_axis_fusion):
     A, K = _over_q_and_q_sqrt3(desc)
-    for a in range(A.dim):
-        assert A.eigendecompose(a).dims == K.eigendecompose(a).dims
-        assert A.check_fusion(a) == K.check_fusion(a)
+    over_q = every_axis_fusion(desc, Q)
+    assert [(K.eigendecompose(a).dims, K.check_fusion(a)) for a in range(K.dim)] == over_q
     for system in ("leibniz", "r"):
         assert len(derivation_basis(A, system)) == len(derivation_basis(K, system))
 
