@@ -85,10 +85,11 @@ class SparseAlgebra:
         return axpy(dict(x), F.neg(F.one_raw()), y, F)
 
     @cached_property
-    def integer_table(self) -> dict:
-        """The table in the `IntegerForm` of its own denominators, built on first use and
-        kept: `products` must not change after that."""
-        return IntegerForm(self.field, self.products.values()).table(self.products)
+    def integer_table(self) -> tuple[int, dict]:
+        """(scale, table): the table in the `IntegerForm` of its own denominators, built
+        on first use and kept: `products` must not change after that."""
+        form = IntegerForm(self.field, self.products.values())
+        return form.scale, form.table(self.products)
 
 
 class IntegerForm:
@@ -97,12 +98,13 @@ class IntegerForm:
     A vector is a pair (r, s) of int dicts, the rational and the sqrt part, with
     v = (r + s sqrt(d')) / scale; s is empty off a quadratic extension.  Over
     k(sqrt(n/m)), d' = nm and the sqrt part is divided by m, as
-    sqrt(n/m) = sqrt(nm) / m.  `scale` is the lcm of the denominators of every
-    vector the form is built from, 1 over F_p, where a coordinate is zero when
-    p divides it.  A table maps each basis pair i <= j to its product vector.
+    sqrt(n/m) = sqrt(nm) / m.  `scale` is the lcm of the denominators of the
+    vectors the form is built from, 1 over F_p, where a coordinate is zero when
+    p divides it: a table and a map's columns each have their own scale.  A
+    table maps each basis pair i <= j to its product vector.
     """
 
-    def __init__(self, field: Field, *groups):
+    def __init__(self, field: Field, vectors):
         if isinstance(field, QuadraticExtension):
             self._m, self.dprime = field.d.denominator, field.d.numerator * field.d.denominator
             self._parts = lambda v: v
@@ -112,13 +114,12 @@ class IntegerForm:
         self.characteristic = field.characteristic
         dens = set()
         if not self.characteristic:  # a residue mod p is an int, of denominator 1
-            for vectors in groups:
-                for x in vectors:
-                    for v in x.values():
-                        a, b = self._parts(v)
-                        dens.add(a.denominator)
-                        if b:
-                            dens.add(b.denominator * self._m)
+            for x in vectors:
+                for v in x.values():
+                    a, b = self._parts(v)
+                    dens.add(a.denominator)
+                    if b:
+                        dens.add(b.denominator * self._m)
         self.scale = math.lcm(*dens)
 
     def vector(self, x: dict) -> tuple[dict, dict]:

@@ -6,10 +6,11 @@ of rotation automorphisms, root-system-induced automorphisms, and the
 character bookkeeping of the torus action.
 
 Every map built here passes `verify_automorphism`, which checks it on every
-basis pair in Python ints: the denominators of both tables and of the map are
-cleared once per call, and over F_p the difference is reduced mod p only
-where it is compared with zero.  All three algebras are structure-constant
-tables (`SparseAlgebra`), so the check reads `products` for every target.
+basis pair in Python ints: it reads the integer table that each algebra
+caches (`SparseAlgebra.integer_table`), clears only the map's columns, and
+over F_p reduces the difference mod p only where it is compared with zero.
+All three algebras are structure-constant tables (`SparseAlgebra`), so the
+check reads the same kind of table for every source and target.
 """
 
 from __future__ import annotations
@@ -61,81 +62,60 @@ class ModelB(SparseAlgebra):
         m = len(rs.positive_roots)
         self.dim = 3 * m
         F = field
-        half = F.div(F.one_raw(), F.coerce(2))
-        self._half = half
+        one, half = F.one_raw(), F.div(F.one_raw(), F.coerce(2))
         # in-block Jordan product: v . w = (1/2) b(v, w) 1, so x.x = (9/4) 1
         nine_quarter = F.div(F.coerce(9), F.coerce(4))
-        three_q = F.div(F.coerce(3), F.coerce(4))
-        zero = F.zero_raw()
+        # a twisted product is (3/4) theta^(+-1) of x_k or y_k, where
+        # theta(x) = x/2 - (sqrt3/2) y and theta(y) = (sqrt3/2) x + y/2
+        a = F.div(F.coerce(3), F.coerce(8))
+        b = F.mul(s3, a)
+        na, nb = F.neg(a), F.neg(b)
 
         products: dict = {}
 
         def put(i, j, vec):
-            key = (i, j) if i <= j else (j, i)
-            products[key] = {k: v for k, v in vec.items() if not F.is_zero(v)}
+            products[(i, j) if i <= j else (j, i)] = vec
 
-        roots = rs.positive_roots
-        ridx = {a: r for r, a in enumerate(roots)}
-        for r, alpha in enumerate(roots):
+        for r in range(m):
             u, x, y = 3 * r, 3 * r + 1, 3 * r + 2
-            put(u, u, {u: F.one_raw()})
-            put(u, x, {x: F.one_raw()})
-            put(u, y, {y: F.one_raw()})
+            put(u, u, {u: one})
+            put(u, x, {x: one})
+            put(u, y, {y: one})
             put(x, x, {u: nine_quarter})
             put(y, y, {u: nine_quarter})
             put(x, y, {})
-        for r, alpha in enumerate(roots):
-            for s in range(r + 1, len(roots)):
-                beta = roots[s]
-                pair = rs.pairing(alpha, beta)
+        for r, row in enumerate(rs.positive_reflections()):
+            ua, xa, ya = 3 * r, 3 * r + 1, 3 * r + 2
+            for s in range(r + 1, m):
+                # <alpha, beta^vee> = pair and alpha - pair * beta = sign * alpha_k,
+                # so sigma_alpha(beta) = beta - pair * alpha = +-alpha_k as well
+                pair, k, sign = row[s]
                 if pair == 0:
                     continue
-                ua, xa, ya = 3 * r, 3 * r + 1, 3 * r + 2
                 ub, xb, yb = 3 * s, 3 * s + 1, 3 * s + 2
-                refl = ridx[rs.to_positive(rs.reflect(beta, alpha))]
-                put(ua, ub, {ua: half, ub: half, 3 * refl: F.neg(half)})
+                xk, yk = 3 * k + 1, 3 * k + 2
+                put(ua, ub, {ua: half, ub: half, 3 * k: F.neg(half)})
                 put(ua, xb, {xb: half})
                 put(ua, yb, {yb: half})
                 put(ub, xa, {xa: half})
                 put(ub, ya, {ya: half})
                 if pair < 0:
-                    # alpha + beta is a root: the theta-twisted rules
-                    g = ridx[tuple(a + b for a, b in zip(alpha, beta))]
-                    put(xa, xb, self._theta(g, zero, F.neg(three_q), +1))
-                    put(xa, yb, self._theta(g, three_q, zero, +1))
-                    put(ya, xb, self._theta(g, three_q, zero, +1))
-                    put(ya, yb, self._theta(g, zero, three_q, +1))
+                    # alpha_k = alpha + beta: x_a x_b = -(3/4) theta(y_k),
+                    # x_a y_b = y_a x_b = (3/4) theta(x_k), y_a y_b = (3/4) theta(y_k)
+                    put(xa, xb, {xk: nb, yk: na})
+                    put(xa, yb, {xk: a, yk: nb})
+                    put(ya, xb, {xk: a, yk: nb})
+                    put(ya, yb, {xk: b, yk: a})
                 else:
-                    # one root is the sum of the other and the remainder
-                    big, small = (r, s) if sum(alpha) > sum(beta) else (s, r)
-                    diff = tuple(
-                        a - b for a, b in zip(roots[big], roots[small])
-                    )
-                    rem = ridx[diff]
-                    xg, yg = 3 * big + 1, 3 * big + 2
-                    xs_, ys_ = 3 * small + 1, 3 * small + 2
-                    put(xg, xs_, self._theta(rem, zero, three_q, -1))
-                    put(xg, ys_, self._theta(rem, three_q, zero, -1))
-                    put(xs_, yg, self._theta(rem, F.neg(three_q), zero, -1))
-                    put(ys_, yg, self._theta(rem, zero, three_q, -1))
+                    # alpha_k is the higher root g minus the lower l:
+                    # x_g x_l = y_l y_g = (3/4) theta^-1(y_k),
+                    # x_g y_l = (3/4) theta^-1(x_k), x_l y_g = -(3/4) theta^-1(x_k)
+                    xg, yg, xl, yl = (xa, ya, xb, yb) if sign > 0 else (xb, yb, xa, ya)
+                    put(xg, xl, {xk: nb, yk: a})
+                    put(xg, yl, {xk: a, yk: b})
+                    put(xl, yg, {xk: na, yk: nb})
+                    put(yl, yg, {xk: nb, yk: a})
         self.products = products
-
-    def _theta(self, r: int, cx, cy, power: int) -> dict:
-        """coeff_x * theta^power(x_r) + coeff_y * theta^power(y_r)."""
-        F = self.field
-        half = self._half
-        h3 = F.mul(self.sqrt3, half)
-        if power < 0:
-            h3 = F.neg(h3)
-        # theta(x) = x/2 - (sqrt3/2) y, theta(y) = (sqrt3/2) x + y/2
-        nx = F.add(F.mul(cx, half), F.mul(cy, h3))
-        ny = F.add(F.neg(F.mul(cx, h3)), F.mul(cy, half))
-        out = {}
-        if not F.is_zero(nx):
-            out[3 * r + 1] = nx
-        if not F.is_zero(ny):
-            out[3 * r + 2] = ny
-        return out
 
 
 # -- generic verification ---------------------------------------------------
@@ -145,22 +125,22 @@ def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
     """Raise VerificationFailure unless `endo` is multiplicative on all basis
     pairs of A and bijective onto `target` (A itself when omitted).
 
-    Multiplicativity is checked in Python ints: with the two tables and the
-    images all times L (see `IntegerForm`), L phi(e_i e_j) and
-    phi(e_i) phi(e_j) both come out times L^3.
+    Multiplicativity is checked in Python ints: with the cached tables of A
+    and the target times Ts and Tt (`integer_table`) and the images times S,
+    Ts phi(e_i) phi(e_j) and Tt S phi(e_i e_j) both come out times Ts Tt S^2.
     """
     target = A if target is None else target
     F = target.field
-    form = IntegerForm(F, A.products.values(), target.products.values(), endo.cols)
-    src = form.table(A.products)
-    tgt = src if target is A else form.table(target.products)
+    ts, src = A.integer_table
+    tt, tgt = target.integer_table
+    form = IntegerForm(F, endo.cols)
     cols = [form.vector(c) for c in endo.cols]
 
     def residual(i, j):
         acc = ({}, {})
-        form.add_product(acc, 1, tgt, cols[i], cols[j])
+        form.add_product(acc, ts, tgt, cols[i], cols[j])
         if (i, j) in src:
-            form.add_image(acc, -form.scale, cols, src[(i, j)])
+            form.add_image(acc, -tt * form.scale, cols, src[(i, j)])
         return acc
 
     pair = form.failing_pair(A.dim, residual)
@@ -422,14 +402,11 @@ def character_report(B: ModelB, simple_params) -> dict:
             if B.sub(got, want):
                 raise VerificationFailure("torus element does not act diagonally")
         lambdas.append(lam)
-    ridx = {a: r for r, a in enumerate(rs.positive_roots)}
     additive = True
     proportional = True
-    for alpha, r in ridx.items():
-        for beta, s in ridx.items():
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            t = ridx.get(gamma)
-            if t is None:
+    for r, row in enumerate(rs.positive_reflections()):
+        for s, (pair, t, _) in enumerate(row):
+            if pair != -1:  # alpha_r + alpha_s is a root, alpha_t, just when the pairing is -1
                 continue
             if F.mul(lambdas[r], lambdas[s]) != lambdas[t]:
                 additive = False

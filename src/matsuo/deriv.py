@@ -9,8 +9,8 @@ Over Q both systems are built once, as integer rows: the (R1)-(R7) rows are
 integral, and the Leibniz rows come from the structure constants with their
 denominators cleared.  Those rows are solved modulo the prime MODULUS, and
 the lifted basis is certified against the same rows in Python ints, with the
-solve over Q as the fallback (see `_lifted_basis`).  `satisfies_r_system`
-runs the same row check (`_orthogonal`) over every field.
+solve over Q of the same rows as the fallback (see `_lifted_basis`).
+`satisfies_r_system` runs the same row check (`_orthogonal`) over every field.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def is_derivation(A: SparseAlgebra, d: LinearEndo) -> bool:
     With the table times T (`A.integer_table`) and the images of d times S, each
     side comes out times T S.
     """
-    table = A.integer_table
+    _, table = A.integer_table
     form = IntegerForm(A.field, d.cols)
     cols = [form.vector(c) for c in d.cols]
 
@@ -236,7 +236,7 @@ def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
     if system == "r":
         return build_r_system(A)
     if isinstance(A.field, Rationals):  # the table times the lcm of its denominators
-        return build_leibniz_system(A, {ij: r for ij, (r, _) in A.integer_table.items()})
+        return build_leibniz_system(A, {ij: r for ij, (r, _) in A.integer_table[1].items()})
     return build_leibniz_system(A)
 
 
@@ -244,18 +244,20 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEn
     """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms."""
     if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
+    rows = _build_system(A, system)
     if isinstance(A.field, Rationals):
-        basis = _lifted_basis(A, system)
+        basis = _lifted_basis(A, rows)
         if basis is not None:
             return basis
-    return nullspace_endos(A, _build_system(A, system))
+    return nullspace_endos(A, rows)
 
 
-def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
-    """The basis over Q found modulo MODULUS and checked exactly, or None.
+def _lifted_basis(A: MatsuoAlgebra, rows: list[dict]) -> list[LinearEndo] | None:
+    """The nullspace over Q of `rows`, found modulo MODULUS and checked exactly, or None.
 
-    The system is built once, as integer rows, and solved over F_p as it
-    stands: the eliminator reads unreduced integers.  The nullspace is
+    `rows` are the integer rows of `_build_system`, which the caller built once
+    and solves over Q itself when this returns None.  They are solved over F_p
+    as they stand: the eliminator reads unreduced integers.  The nullspace is
     lifted entrywise by rational reconstruction.  The k lifted vectors are
     independent, as each is 1 on its own free column and 0 on the others.  If
     each is orthogonal to every integer row (`_orthogonal`), they span the
@@ -268,7 +270,6 @@ def _lifted_basis(A: MatsuoAlgebra, system: str) -> list[LinearEndo] | None:
         return None
     if eta in (0, 1):  # the reduction mod p is no Matsuo algebra
         return None
-    rows = _build_system(A, system)
     n = A.dim
     basis = []
     for vec in linalg.nullspace(rows, n * n, Fp):

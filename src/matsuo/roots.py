@@ -81,9 +81,6 @@ class RootSystem(NamedTuple):
                 return c > 0
         return False
 
-    def to_positive(self, v):
-        return v if self.is_positive(v) else tuple(-c for c in v)
-
 
 def build_root_system(type_name: str, rank: int) -> RootSystem:
     edges = _edges(type_name, rank)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from matsuo.algebra import BadCharacteristic, MatsuoAlgebra
+from matsuo.algebra import BadCharacteristic, IntegerForm, MatsuoAlgebra
 from matsuo.autos import (
     CircleRelationViolated,
     ModelB,
@@ -46,6 +46,84 @@ def _matsuo(desc, field):
 # -- model B -------------------------------------------------------------------
 
 
+def _theta(F, s3, r, cx, cy, power):
+    """cx theta^power(x_r) + cy theta^power(y_r), for theta(x) = x/2 - (sqrt3/2) y and
+    theta(y) = (sqrt3/2) x + y/2, the sixth-root rotation that twists model B."""
+    half = F.div(F.one_raw(), F.coerce(2))
+    h3 = F.mul(s3, half)
+    if power < 0:
+        h3 = F.neg(h3)
+    nx = F.add(F.mul(cx, half), F.mul(cy, h3))
+    ny = F.add(F.neg(F.mul(cx, h3)), F.mul(cy, half))
+    return {k: v for k, v in ((3 * r + 1, nx), (3 * r + 2, ny)) if not F.is_zero(v)}
+
+
+def _oracle_products(rs, F):
+    """Model B's table built root by root: the pairing, the reflection and the root sum
+    or difference from tuples, each twisted product from `_theta`."""
+    s3 = F.sqrt_raw(F.coerce(3))
+    half = F.div(F.one_raw(), F.coerce(2))
+    nine_quarter = F.div(F.coerce(9), F.coerce(4))
+    three_q = F.div(F.coerce(3), F.coerce(4))
+    zero = F.zero_raw()
+    products = {}
+
+    def put(i, j, vec):
+        key = (i, j) if i <= j else (j, i)
+        products[key] = {k: v for k, v in vec.items() if not F.is_zero(v)}
+
+    def positive(v):
+        return v if rs.is_positive(v) else tuple(-c for c in v)
+
+    roots = rs.positive_roots
+    ridx = {a: r for r, a in enumerate(roots)}
+    for r in range(len(roots)):
+        u, x, y = 3 * r, 3 * r + 1, 3 * r + 2
+        put(u, u, {u: F.one_raw()})
+        put(u, x, {x: F.one_raw()})
+        put(u, y, {y: F.one_raw()})
+        put(x, x, {u: nine_quarter})
+        put(y, y, {u: nine_quarter})
+        put(x, y, {})
+    for r, alpha in enumerate(roots):
+        for s in range(r + 1, len(roots)):
+            beta = roots[s]
+            pair = rs.pairing(alpha, beta)
+            if pair == 0:
+                continue
+            ua, xa, ya = 3 * r, 3 * r + 1, 3 * r + 2
+            ub, xb, yb = 3 * s, 3 * s + 1, 3 * s + 2
+            refl = ridx[positive(rs.reflect(beta, alpha))]
+            put(ua, ub, {ua: half, ub: half, 3 * refl: F.neg(half)})
+            put(ua, xb, {xb: half})
+            put(ua, yb, {yb: half})
+            put(ub, xa, {xa: half})
+            put(ub, ya, {ya: half})
+            if pair < 0:
+                g = ridx[tuple(a + b for a, b in zip(alpha, beta))]
+                put(xa, xb, _theta(F, s3, g, zero, F.neg(three_q), +1))
+                put(xa, yb, _theta(F, s3, g, three_q, zero, +1))
+                put(ya, xb, _theta(F, s3, g, three_q, zero, +1))
+                put(ya, yb, _theta(F, s3, g, zero, three_q, +1))
+            else:
+                big, small = (r, s) if sum(alpha) > sum(beta) else (s, r)
+                rem = ridx[tuple(a - b for a, b in zip(roots[big], roots[small]))]
+                xg, yg = 3 * big + 1, 3 * big + 2
+                xs, ys = 3 * small + 1, 3 * small + 2
+                put(xg, xs, _theta(F, s3, rem, zero, three_q, -1))
+                put(xg, ys, _theta(F, s3, rem, three_q, zero, -1))
+                put(xs, yg, _theta(F, s3, rem, F.neg(three_q), zero, -1))
+                put(ys, yg, _theta(F, s3, rem, zero, three_q, -1))
+    return products
+
+
+@pytest.mark.parametrize("fdesc", ["Q(sqrt:3)", "Q(sqrt:1/3)", "Fp:13", "Fp:11"])
+@pytest.mark.parametrize("rstype", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7"])
+def test_model_b_table_matches_the_theta_oracle(rstype, fdesc):
+    rs, field = parse_root_system(rstype), parse_field(fdesc)
+    assert ModelB(rs, field).products == _oracle_products(rs, field)
+
+
 def test_model_b_dimension_and_block_structure():
     B = ModelB(parse_root_system("A3"), QS3)
     assert B.dim == 18  # 3 * |Phi+|
@@ -68,7 +146,7 @@ def test_model_b_theta_is_a_sixth_root_of_rotation():
         F = B.field
         cx = v.get(1, F.zero_raw())
         cy = v.get(2, F.zero_raw())
-        return B._theta(0, cx, cy, power)
+        return _theta(F, B.sqrt3, 0, cx, cy, power)
 
     v = dict(vec)
     for _ in range(3):
@@ -99,7 +177,7 @@ def test_model_b_x_product_rule():
     g = rs.positive_roots.index((1, 1))
     F = QS3
     tq = F.div(F.coerce(3), F.coerce(4))
-    expected = B._theta(g, F.zero_raw(), F.neg(tq), +1)
+    expected = _theta(F, B.sqrt3, g, F.zero_raw(), F.neg(tq), +1)
     assert B.basis_product(3 * a + 1, 3 * b + 1) == expected
 
 
@@ -208,9 +286,9 @@ def test_theta_commutes_with_torus_blocks():
                     y: F.add(F.mul(s, vx), F.mul(c, vy)),
                 }
 
-            t_then_r = rot(B._theta(r, cx, cy, +1))
+            t_then_r = rot(_theta(F, B.sqrt3, r, cx, cy, +1))
             rv = rot(vec)
-            r_then_t = B._theta(r, rv.get(x, F.zero_raw()), rv.get(y, F.zero_raw()), +1)
+            r_then_t = _theta(F, B.sqrt3, r, rv.get(x, F.zero_raw()), rv.get(y, F.zero_raw()), +1)
             assert {k: v for k, v in t_then_r.items() if not F.is_zero(v)} == r_then_t
 
 
@@ -409,15 +487,15 @@ def _checked_failing_pair(A, cols, T):
 @pytest.mark.parametrize("fdesc", ["Q", "Fp:13", "Q(sqrt:3)", "Q(sqrt:1/3)", "Fp:7(sqrt:3)"])
 def test_integer_check_matches_field_arithmetic(fdesc):
     field = parse_field(fdesc)
-    maps = []
+    maps = []  # (source, map, target, a fresh build of the target)
     if fdesc != "Q":  # model B needs sqrt 3
         B = ModelB(parse_root_system("A2"), field)
         M = _matsuo("3W:A2", field)
-        maps.append((B, model_b_iso(B, M), M))
+        maps.append((B, model_b_iso(B, M), M, lambda: _matsuo("3W:A2", field)))
     S = _matsuo("S4", field)
     Z, cols = symmetric_model_iso(S)
-    maps.append((S, cols, Z))
-    for A, cols, T in maps:
+    maps.append((S, cols, Z, lambda: ZeroSumJordan(Z.n, field)))
+    for A, cols, T, fresh in maps:
         F = field
         assert _reference_failing_pair(A, cols, T) is None
         assert _checked_failing_pair(A, cols, T) is None
@@ -428,7 +506,9 @@ def test_integer_check_matches_field_arithmetic(fdesc):
         want = _reference_failing_pair(A, bent, T)
         assert want is not None
         assert _checked_failing_pair(A, bent, T) == want
-        # one entry of one target product doubled
+        # one entry of one product of a target that no check has read doubled: the
+        # check reads `integer_table`, which is built from `products` once
+        T = fresh()
         key = sorted(ij for ij, p in T.products.items() if p)[len(T.products) // 3]
         row = dict(T.products[key])
         c = next(iter(row))
@@ -436,6 +516,27 @@ def test_integer_check_matches_field_arithmetic(fdesc):
         want = _reference_failing_pair(A, cols, T)
         assert want is not None
         assert _checked_failing_pair(A, cols, T) == want
+
+
+def test_verify_automorphism_reads_the_integer_tables_of_the_algebras(monkeypatch):
+    """Once both tables are cleared of their denominators, each check clears only the
+    map's columns: n vectors, where rebuilding the tables would clear every product."""
+    B = ModelB(parse_root_system("A2"), QS3)
+    M = _matsuo("3W:A2", QS3)
+    cols = model_b_iso(B, M)  # the first check builds both tables
+    tables = B.integer_table, M.integer_table
+    built, table = [], IntegerForm.table
+    monkeypatch.setattr(IntegerForm, "table", lambda form, p: built.append(p) or table(form, p))
+    cleared, vector = [], IntegerForm.vector
+    monkeypatch.setattr(IntegerForm, "vector", lambda form, x: cleared.append(x) or vector(form, x))
+    verify_automorphism(B, LinearEndo(B.dim, cols), M)
+    bent = [dict(c) for c in cols]
+    bent[0] = B.scale(QS3.coerce(2), bent[0])
+    with pytest.raises(VerificationFailure):
+        verify_automorphism(B, LinearEndo(B.dim, bent), M)
+    assert built == []
+    assert len(cleared) == 2 * B.dim
+    assert B.integer_table is tables[0] and M.integer_table is tables[1]
 
 
 # -- characters -------------------------------------------------------------------

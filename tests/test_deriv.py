@@ -269,7 +269,8 @@ def _exact(A, system):
 @pytest.mark.parametrize("desc", CATALOG)
 def test_lifted_basis_equals_exact_solve_over_q(desc, system):
     A = _alg(desc)
-    assert deriv._lifted_basis(A, system) is not None  # the modular route answered
+    # the modular route answered
+    assert deriv._lifted_basis(A, deriv._build_system(A, system)) is not None
     assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
 
 
@@ -279,7 +280,7 @@ def test_lifted_basis_equals_exact_solve_over_q(desc, system):
 @pytest.mark.parametrize("desc", ["S4", "S5", "W:A3", "3W:A2", "M3:2"])
 def test_lifted_leibniz_basis_at_other_eta(desc, eta):
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
-    assert deriv._lifted_basis(A, "leibniz") is not None
+    assert deriv._lifted_basis(A, deriv._build_system(A, "leibniz")) is not None
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
@@ -287,7 +288,7 @@ def test_lifted_leibniz_basis_at_other_eta(desc, eta):
 def test_eta_without_image_mod_p_falls_back(eta):
     # 2^61 is 1 mod p, and p divides the denominator of 1/p
     A = MatsuoAlgebra(space_of(parse_group("S4")), eta, Q)
-    assert deriv._lifted_basis(A, "leibniz") is None
+    assert deriv._lifted_basis(A, deriv._build_system(A, "leibniz")) is None
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
@@ -325,7 +326,7 @@ def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
     A = _alg("S4")  # dim 3, with entries such as -7/6
     exact = _exact(A, system)
     monkeypatch.setattr(deriv, "rational_lift", lift)
-    assert deriv._lifted_basis(A, system) is None
+    assert deriv._lifted_basis(A, deriv._build_system(A, system)) is None
     assert _entries(derivation_basis(A, system)) == _entries(exact)
 
 
@@ -350,11 +351,11 @@ def test_certificate_rejects_one_wrong_entry_in_any_vector(monkeypatch, system):
     A = _alg("3W:A2")
     count = _WrongAt(-1)
     monkeypatch.setattr(deriv, "rational_lift", count)
-    assert len(deriv._lifted_basis(A, system)) == 8
+    assert len(deriv._lifted_basis(A, deriv._build_system(A, system))) == 8
     assert count.calls > 8
     for k in range(count.calls):
         monkeypatch.setattr(deriv, "rational_lift", _WrongAt(k))
-        assert deriv._lifted_basis(A, system) is None, k
+        assert deriv._lifted_basis(A, deriv._build_system(A, system)) is None, k
 
 
 def _naive_leibniz_rows(A):
@@ -517,7 +518,7 @@ def test_leibniz_builder_keeps_the_generic_row_list(desc, field):
     integer table of `_build_system` is read."""
     A = _alg(desc, field)
     if field == Q:
-        products = {ij: r for ij, (r, _) in A.integer_table.items()}
+        products = {ij: r for ij, (r, _) in A.integer_table[1].items()}
         rows = deriv._build_system(A, "leibniz")
     else:
         products, rows = A.products, build_leibniz_system(A)

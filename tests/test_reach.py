@@ -6,7 +6,8 @@ each function definition whose code never ran.  A function that no command
 reaches is dead API: delete it, or reach it from a command, or give it an
 entry with a reason in ALLOWED.
 
-A second AST gate fails on any name a test module imports and never uses.
+A second AST gate fails on any name a test or package module imports and
+never uses; a package module uses each name its `__all__` lists.
 """
 
 import ast
@@ -108,7 +109,7 @@ def test_every_function_is_reached_by_a_command():
 
 
 def _unused_imports(path: str) -> list[str]:
-    """Names a module imports at any depth and never reads."""
+    """Names a module imports at any depth and never reads nor lists in `__all__`."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     imported = {}
@@ -119,15 +120,28 @@ def _unused_imports(path: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            if "__all__" in [getattr(t, "id", None) for t in node.targets]:
+                used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def test_test_modules_use_every_name_they_import():
-    unused = {
+def _unused_in(directory: str) -> dict:
+    return {
         name: found
-        for name in sorted(os.listdir(TESTS))
-        if name.endswith(".py") and (found := _unused_imports(os.path.join(TESTS, name)))
+        for name in sorted(os.listdir(directory))
+        if name.endswith(".py") and (found := _unused_imports(os.path.join(directory, name)))
     }
+
+
+def test_test_modules_use_every_name_they_import():
+    unused = _unused_in(TESTS)
+    assert not unused, f"imported and never used: {unused}"
+
+
+def test_package_modules_use_every_name_they_import():
+    unused = _unused_in(SRC)
     assert not unused, f"imported and never used: {unused}"
 
 

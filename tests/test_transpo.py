@@ -119,8 +119,11 @@ def _reflection_conj_tables(rs):
     for the closed-form tables of `build_weyl` and `build_affine_weyl`."""
     roots = list(rs.positive_roots)
 
+    def positive(v):
+        return v if rs.is_positive(v) else tuple(-c for c in v)
+
     def weyl(a, b):
-        return rs.to_positive(rs.reflect(a, b))
+        return positive(rs.reflect(a, b))
 
     def affine(a, b):
         (e1, alpha), (e2, beta) = a, b
@@ -129,7 +132,7 @@ def _reflection_conj_tables(rs):
         sw = rs.reflect(tuple(e2 * c for c in beta), alpha)
         inner = tuple((x - y + z) % 3 for x, y, z in zip(v, w, sw))
         vnew = tuple(c % 3 for c in rs.reflect(inner, beta))
-        gamma = rs.to_positive(rs.reflect(alpha, beta))
+        gamma = positive(rs.reflect(alpha, beta))
         (eps,) = [
             e for e in (0, 1, 2) if all((e * c - x) % 3 == 0 for c, x in zip(gamma, vnew))
         ]
