@@ -200,7 +200,7 @@ def build_r_system(A: MatsuoAlgebra) -> list[dict]:
 
 
 def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo, rows=None) -> bool:
-    """Whether d satisfies (R1)-(R7); `rows` may hold `r_relations(A.fs)` built once."""
+    """Whether d satisfies (R1)-(R7); over Q or F_p, `rows` may hold `build_r_system(A)`."""
     require_eta_half(A)
     return _orthogonal(r_relations(A.fs) if rows is None else rows, [d.to_vector()], A.field)
 
@@ -240,11 +240,13 @@ def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
     return build_leibniz_system(A)
 
 
-def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
-    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms."""
+def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz", rows=None) -> list[LinearEndo]:
+    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms; `rows`
+    may hold `_build_system(A, system)` built once, such as `build_r_system(A)`."""
     if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
-    rows = _build_system(A, system)
+    if rows is None:
+        rows = _build_system(A, system)
     if isinstance(A.field, Rationals):
         basis = _lifted_basis(A, rows)
         if basis is not None:

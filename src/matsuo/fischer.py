@@ -43,14 +43,23 @@ class FischerSpace:
 
     # -- closures -----------------------------------------------------------
 
-    def closure(self, seed) -> frozenset:
-        """Smallest subspace containing the seed (third-point fixed point)."""
-        members = set(seed)
+    def closure(self, seed, closed=frozenset()) -> frozenset:
+        """Smallest subspace containing the seed and `closed` (third-point fixed point).
+
+        `closed` must be a subspace: pairs inside it give no new point, so the
+        pass starts at the first point outside it.
+        """
+        members = set(closed)
+        elems = list(closed)
+        start = len(elems)
+        for x in seed:
+            if x not in members:
+                members.add(x)
+                elems.append(x)
         if not members:
             raise ValueError("closure needs a nonempty seed")
-        elems = list(members)
         third = self.third
-        i = 0
+        i = start
         while i < len(elems):
             x = elems[i]
             row = third[x]
@@ -141,8 +150,10 @@ class FischerSpace:
     def is_near_solid(self, line) -> tuple[bool, dict | None]:
         """Decide near-solidity of a line; on failure return the offending subspace.
 
-        Enumerates closures of line + {c, d} over all point pairs and
-        classifies the connected component of the line in each.
+        Enumerates closures of line + {c, d} over all point pairs, each grown
+        from the closure of line + {c}, and classifies the connected component
+        of the line in each distinct one: the first that is not allowed is the
+        witness.
         """
         line = tuple(sorted(line))
         in_range = len(line) == 3 and line[0] >= 0 and line[2] < self.n
@@ -150,17 +161,22 @@ class FischerSpace:
             raise ValueError("not a line of this space")
         lset = frozenset(line)
         a = line[0]
+        allowed = set()  # closures met already, each with an allowed component
         for c in range(self.n):
-            base = self.closure(lset | {c})
+            base = self.closure((c,), lset)
             for d in range(c, self.n):
                 if d in base:
                     continue  # closure is 3-generated or less on top of the line
-                comp = self.component_of(self.closure(lset | {c, d}), a)
-                t = self._component_type(comp)
-                if t in ("ThreeGen", "S5"):
+                span = self.closure((d,), base)
+                if span in allowed:
                     continue
+                comp = self.component_of(span, a)
+                t = self._component_type(comp)
                 # an 18-point closure of a line and two points occurs in 3^n:W only
-                if t == "AffA3" and self.line_orbit_class(line) == "vertical":
+                if t in ("ThreeGen", "S5") or (
+                    t == "AffA3" and self.line_orbit_class(line) == "vertical"
+                ):
+                    allowed.add(span)
                     continue
                 return False, {"type": t, "points": sorted(comp)}
         return True, None

@@ -13,6 +13,12 @@ pivot's solution, and what cancels is dropped once, at the end.  Over a
 reduced mod p once, at the end, so rows may hold unreduced integers (negative
 entries and multiples of p included); `axpy` likewise reduces each entry it
 writes once.  Every value stored in `solved` is a reduced residue.
+
+A row whose columns are all pivots forced to 0 (with an empty solution)
+already lies in the row space: `Echelon` skips it with one set test, which
+changes neither the row space, the pivot path nor the solved form.  Structured
+Gaussian elimination drops such rows the same way (LaMacchia and Odlyzko,
+CRYPTO '90).
 """
 
 from __future__ import annotations
@@ -52,12 +58,22 @@ def axpy(dst: dict, c, src: dict, field: Field) -> dict:
 
 
 class Echelon:
-    """Incrementally maintained solved form of a row space."""
+    """Incrementally maintained solved form of a row space.
+
+    `zero` is the set of pivots p with `solved[p]` empty, so x_p = 0 on the
+    nullspace of the rows inserted so far.  A pivot joins it when its solution
+    is made empty or a substitution empties it, and never leaves: a
+    substitution touches only solutions that name the new pivot, which an empty
+    one does not.  A row on these columns alone is orthogonal to that nullspace,
+    so `reduce` would return {} for it and `insert` would change nothing;
+    `insert` and `contains` answer it with one set test instead.
+    """
 
     def __init__(self, field: Field):
         self.field = field
         self.solved: dict[int, dict] = {}  # pivot col -> x_p in terms of free cols
         self._occurs: dict[int, set] = defaultdict(set)  # col -> pivot cols using it
+        self.zero: set = set()  # pivot cols with an empty solution
 
     @property
     def rank(self) -> int:
@@ -98,6 +114,8 @@ class Echelon:
 
     def insert(self, row: dict) -> bool:
         """Add a row; returns True if it enlarged the row space."""
+        if self.zero.issuperset(row):
+            return False
         F = self.field
         res = self.reduce(row)
         if not res:
@@ -110,18 +128,22 @@ class Echelon:
         for q in self._occurs.pop(p, ()):
             target = self.solved[q]
             axpy(target, target.pop(p), sol, F)
+            if not target:
+                self.zero.add(q)
             for c in sol:
                 if c in target:
                     self._occurs[c].add(q)
                 else:
                     self._occurs[c].discard(q)
         self.solved[p] = sol
+        if not sol:
+            self.zero.add(p)
         for c in sol:
             self._occurs[c].add(p)
         return True
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return self.zero.issuperset(row) or not self.reduce(row)
 
 
 def _echelon(rows, field: Field, ncols: int | None = None) -> Echelon:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, AutosError, MatsuoAlgebra
 from .deriv import (
-    LinearEndo, derivation_basis, is_derivation, r_relations, satisfies_r_system, spans_agree
+    LinearEndo, build_r_system, derivation_basis, is_derivation, satisfies_r_system, spans_agree
 )
 from .fields import DivisionByZero, Field, FieldError, QuadraticExtension, sqrt_in_field
 from .fischer import space_of
@@ -86,11 +86,11 @@ def equivalence(field: Field, desc: str, rng: random.Random, trials: int) -> tup
     """Leibniz and (R1)-(R7) agree on the derivation space and on `trials` random maps."""
     A = _base_algebra(desc, field)
     F = A.field
+    rows = build_r_system(A)  # integer rows, as A is over Q or F_p
     b1 = derivation_basis(A, system="leibniz")
-    b2 = derivation_basis(A, system="r")
+    b2 = derivation_basis(A, system="r", rows=rows)
     ok = len(b1) == len(b2) and spans_agree(A, b1, b2)
     detail = {"leibniz": len(b1), "r": len(b2)}
-    rows = list(r_relations(A.fs))
     for _ in range(trials):
         cols = [
             {b: F.coerce(rng.randrange(-3, 4)) for b in rng.sample(range(A.dim), min(3, A.dim))}

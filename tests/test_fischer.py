@@ -1,5 +1,6 @@
 """Fischer space geometry: closures, components, line orbits, near-solid lines."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,47 @@ def test_is_near_solid_rejects_triples_that_are_not_lines():
     with pytest.raises(ValueError):
         fs.is_near_solid((*noncollinear, next(z for z in range(fs.n) if z not in noncollinear)))
     assert fs.is_near_solid((c, a, b)) == fs.is_near_solid(fs.lines[0])
+
+
+def _near_solid_by_enumeration(fs, line):
+    """The plain enumeration: every closure of line + {c, d} from scratch, in the
+    order of `is_near_solid`, and the first component of a type not allowed."""
+    lset = frozenset(line)
+    for c in range(fs.n):
+        for d in range(c, fs.n):
+            if d in fs.closure(lset | {c}):
+                continue
+            comp = fs.component_of(fs.closure(lset | {c, d}), line[0])
+            t = fs._component_type(comp)
+            if t in ("ThreeGen", "S5"):
+                continue
+            if t == "AffA3" and fs.line_orbit_class(line) == "vertical":
+                continue
+            return False, {"type": t, "points": sorted(comp)}
+    return True, None
+
+
+@pytest.mark.parametrize("desc", CATALOG + ("M3:4",))
+def test_near_solid_matches_the_plain_enumeration(desc):
+    """Closures grown from the closure of line + {c}, each distinct one classified
+    once, give the verdict and the witness of the enumeration from scratch."""
+    fs = _space(desc)
+    for orbit in fs.line_orbits():
+        line = fs.lines[orbit[0]]
+        assert fs.is_near_solid(line) == _near_solid_by_enumeration(fs, line), (desc, line)
+
+
+@pytest.mark.parametrize("desc", ["S5", "W:D4", "3W:A3", "M3:3"])
+def test_closure_grows_from_a_closed_subspace(desc):
+    rng = random.Random(desc)
+    fs = _space(desc)
+    for _ in range(40):
+        closed = fs.closure(rng.sample(range(fs.n), rng.randint(1, 3)))
+        seed = set(rng.sample(range(fs.n), rng.randint(0, 3)))
+        assert fs.closure(seed, closed) == fs.closure(seed | closed)
+    assert fs.closure((), closed) == closed
+    with pytest.raises(ValueError):
+        fs.closure(())
 
 
 def _point_map(fs, a, line):

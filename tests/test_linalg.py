@@ -162,6 +162,35 @@ def test_axpy_matches_a_dense_reference(field, dst, c, src, cancel):
         assert not set(out) & set(src)
 
 
+F61 = PrimeField((1 << 61) - 1)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([Q, F7, F61, QS3]),
+    st.lists(st.tuples(st.dictionaries(st.integers(0, 5), _pairs, max_size=3), st.booleans())),
+)
+def test_echelon_skips_rows_on_forced_zero_columns(field, specs):
+    """`zero` is the set of pivots with an empty solution; a row on those columns
+    alone is skipped, reduces to {}, and the solved form and its pivot order are
+    those of a loop that reduces every row.  A spec flagged True is moved onto
+    the zero columns known so far."""
+    ech, ref = Echelon(field), Echelon(field)
+    for spec, on_zero in specs:
+        row = {c: _value(field, *v) for c, v in spec.items()}
+        if on_zero and ech.zero:
+            zs = sorted(ech.zero)
+            row = {zs[c % len(zs)]: v for c, v in row.items()}
+        skipped = ech.zero.issuperset(row)
+        grew = ech.insert(row)
+        if skipped:
+            assert not grew and ech.reduce(row) == {} and ech.contains(row)
+        assert grew == (bool(ref.reduce(row)) and ref.insert(row))
+        assert ech.zero == {p for p, sol in ech.solved.items() if not sol}
+    assert list(ech.solved) == list(ref.solved)
+    assert ech.solved == ref.solved
+
+
 def test_echelon_rows_stay_fully_reduced():
     rng = random.Random(3)
     ech = Echelon(Q)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from matsuo import autos, verify
+from matsuo import autos, deriv, verify
 from matsuo.algebra import MatsuoAlgebra
 from matsuo.deriv import LinearEndo, derivation_basis
 from matsuo.fields import DivisionByZero, PrimeField, QuadraticExtension, Rationals
@@ -52,6 +52,20 @@ def test_fusion_and_derivations_agree_over_q_and_q_sqrt3(desc, every_axis_fusion
     assert [(K.eigendecompose(a).dims, K.check_fusion(a)) for a in range(K.dim)] == over_q
     for system in ("leibniz", "r"):
         assert len(derivation_basis(A, system)) == len(derivation_basis(K, system))
+
+
+@pytest.mark.parametrize("field", [QS3, F7], ids=repr)
+def test_equivalence_builds_the_r_rows_once_per_group(monkeypatch, field):
+    """One `r_relations` pass per group serves the solve and the random-map checks."""
+    passes, r_relations = [], deriv.r_relations
+    for module in (deriv, verify):  # wherever the name is bound
+        monkeypatch.setattr(
+            module, "r_relations", lambda fs: passes.append(fs) or r_relations(fs), raising=False
+        )
+    groups = ["S4", "3W:A2", "M3:3"]
+    ledger = verify.run("equivalence", field, groups, [], random.Random(0), 3)
+    assert [e["passed"] for e in ledger] == [True] * len(groups)
+    assert len(passes) == len(groups)
 
 
 @pytest.mark.parametrize("t", ["A2", "A3"])
