@@ -194,16 +194,14 @@ class MatsuoAlgebra(SparseAlgebra):
         self.field = field
         self.eta = eta
         self.dim = fs.n
-        F = field
-        half_eta = F.div(eta, F.coerce(2))
+        half = field.div(eta, field.coerce(2))
+        one, minus_half = field.one_raw(), field.neg(half)
         products = {}
-        for i in range(fs.n):
-            products[(i, i)] = {i: F.one_raw()}
+        for i, row in enumerate(fs.third):
+            products[(i, i)] = {i: one}
             for j in range(i + 1, fs.n):
-                k = fs.third[i][j]
-                if k >= 0:
-                    row = {i: half_eta, j: half_eta, k: F.neg(half_eta)}
-                    products[(i, j)] = row
+                if (k := row[j]) >= 0:
+                    products[(i, j)] = {i: half, j: half, k: minus_half}
         self.products = products
 
     def is_matsuo_table(self) -> bool:

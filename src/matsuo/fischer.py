@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .transpo import TranspoGroup
 
 # a connected closure is named by its size: 1, 3, 6 and 9 are the 3-generated
@@ -17,7 +19,7 @@ class FischerSpace:
     """Partial linear space with lines {a, b, b^a} over noncommuting pairs.
 
     `third[i][j]` is the third point of the line through i and j, or -1 for
-    non-collinear pairs.
+    non-collinear pairs; the line {i, j, k} is read as third[i][j] = k, i < j < k.
     """
 
     def __init__(self, n, third, labels, family, payloads=None, group=None):
@@ -27,16 +29,10 @@ class FischerSpace:
         self.family = family
         self.payloads = payloads
         self.group = group
-        lines = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                k = third[i][j]
-                if k >= 0:
-                    lines.add(tuple(sorted((i, j, k))))
-        self.lines = sorted(lines)
-        self.adjacency = [
-            frozenset(j for j in range(n) if third[i][j] >= 0) for i in range(n)
+        self.lines = [
+            (i, j, k) for i, row in enumerate(third) for j, k in enumerate(row) if k > j > i
         ]
+        self.adjacency = [frozenset(j for j, k in enumerate(row) if k >= 0) for row in third]
 
     def collinear(self, i: int, j: int) -> bool:
         return self.third[i][j] >= 0
@@ -96,40 +92,54 @@ class FischerSpace:
     def preserves_third(self, sigma: list[int]) -> bool:
         """Whether `sigma` permutes the points with third[sigma i][sigma j] =
         sigma(third[i][j]) for every pair, -1 kept as -1; n^2 lookups."""
-        third = self.third
+        third, image = self.third, [*sigma, -1]  # image[-1] = -1
         return sorted(sigma) == list(range(self.n)) and all(
-            [third[si][sj] for sj in sigma] == [t if t < 0 else sigma[t] for t in third[i]]
+            itemgetter(*sigma)(third[si]) == itemgetter(*third[i])(image)
             for i, si in enumerate(sigma)
         )
 
+    def point_maps(self) -> list[list[int]]:
+        """The maps x -> x^a of greedy generators a, each the smallest point outside
+        the closure of those before, until it is every point.  x^a is third[a][x], or x
+        when a and x are not collinear.  They generate the maps of all points, as
+        sigma_{a^b} = sigma_b sigma_a sigma_b when sigma_b passes `preserves_third`:
+        each is checked to, else ValueError names a."""
+        maps, span = [], frozenset()
+        while len(span) < self.n:
+            a = next(x for x in range(self.n) if x not in span)
+            sigma = [x if y < 0 else y for x, y in enumerate(self.third[a])]
+            if not self.preserves_third(sigma):
+                raise ValueError(f"the map of point {self.labels[a]} does not preserve the lines")
+            maps.append(sigma)
+            span = self.closure((a,), span)
+        return maps
+
+    @staticmethod
+    def _orbits(count: int, images) -> list[list[int]]:
+        """Orbits of 0..count-1 as sorted lists, by smallest member; images(i) lists
+        the images of i under the generators."""
+        seen = [False] * count
+        orbits = []
+        for start in range(count):
+            if not seen[start]:
+                seen[start] = True
+                orbit = [start]
+                for i in orbit:  # breadth first: the list grows while it is read
+                    for j in images(i):
+                        if not seen[j]:
+                            seen[j] = True
+                            orbit.append(j)
+                orbits.append(sorted(orbit))
+        return orbits
+
     def point_orbits(self) -> list[list[int]] | None:
-        """Orbits of the points under the maps x -> x^a that pass `preserves_third`,
-        by smallest point, or None if one fails.  A union-find checks a map only
-        where it joins classes, and stops at one class per component."""
-        root = list(range(self.n))
-
-        def find(x):
-            while root[x] != x:
-                root[x] = x = root[root[x]]
-            return x
-
-        classes, target = self.n, len(self.components())
-        for a in range(self.n):
-            if classes == target:
-                break
-            sigma = [x if y < 0 else y for x, y in enumerate(self.third[a])]  # x -> x^a
-            joins = [(x, y) for x, y in enumerate(sigma) if find(x) != find(y)]
-            if joins and not self.preserves_third(sigma):
-                return None
-            for x, y in joins:
-                x, y = sorted((find(x), find(y)))
-                if x != y:
-                    root[y] = x  # a class is rooted at its smallest point
-                    classes -= 1
-        orbits: dict[int, list[int]] = {}
-        for x in range(self.n):
-            orbits.setdefault(find(x), []).append(x)
-        return list(orbits.values())
+        """Orbits of the points under the point maps, or None if a generator's map
+        fails `preserves_third`."""
+        try:
+            maps = self.point_maps()
+        except ValueError:
+            return None
+        return self._orbits(self.n, lambda x: [sigma[x] for sigma in maps])
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -150,10 +160,11 @@ class FischerSpace:
     def is_near_solid(self, line) -> tuple[bool, dict | None]:
         """Decide near-solidity of a line; on failure return the offending subspace.
 
-        Enumerates closures of line + {c, d} over all point pairs, each grown
-        from the closure of line + {c}, and classifies the connected component
+        Enumerates closures of line + {c, d} over point pairs c <= d, d outside the
+        base B_c (the closure of line + {c}), and classifies the connected component
         of the line in each distinct one: the first that is not allowed is the
-        witness.
+        witness.  The closure of line + {c, d} is that of B_c and B_d, so it is grown
+        from B_c once per pair of bases: a pair met before gave the same closure.
         """
         line = tuple(sorted(line))
         in_range = len(line) == 3 and line[0] >= 0 and line[2] < self.n
@@ -161,12 +172,20 @@ class FischerSpace:
             raise ValueError("not a line of this space")
         lset = frozenset(line)
         a = line[0]
+        bases = [self.closure((c,), lset) for c in range(self.n)]
+        ids: dict = {}
+        base_id = [ids.setdefault(base, len(ids)) for base in bases]
         allowed = set()  # closures met already, each with an allowed component
-        for c in range(self.n):
-            base = self.closure((c,), lset)
+        met = set()  # pairs of base ids whose closure was grown
+        for c, base in enumerate(bases):
+            i = base_id[c]
             for d in range(c, self.n):
                 if d in base:
                     continue  # closure is 3-generated or less on top of the line
+                pair = (i, base_id[d]) if i <= base_id[d] else (base_id[d], i)
+                if pair in met:
+                    continue
+                met.add(pair)
                 span = self.closure((d,), base)
                 if span in allowed:
                     continue
@@ -182,35 +201,23 @@ class FischerSpace:
         return True, None
 
     def line_orbits(self) -> list[list[int]]:
-        """Orbits of lines under the point maps x -> x^a, as sorted lists of
-        indices into `lines`.  x^a is third[a][x], or x when a and x are not
-        collinear; these maps preserve lines and closures."""
-        line_id = [[-1] * self.n for _ in range(self.n)]
+        """Orbits of lines under the point maps, as sorted lists of indices into
+        `lines`; ValueError if a generator's map is not an automorphism."""
+        maps, line_id = self.point_maps(), [[-1] * self.n for _ in range(self.n)]
         for i, (x, y, z) in enumerate(self.lines):
             for p, q in ((x, y), (y, x), (x, z), (z, x), (y, z), (z, y)):
                 line_id[p][q] = i
-        seen = [False] * len(self.lines)
-        orbits = []
-        for start in range(len(self.lines)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            for i in orbit:  # breadth first: the list grows while it is read
-                x, y, _ = self.lines[i]
-                for row in self.third:
-                    u, v = row[x], row[y]
-                    j = line_id[x if u < 0 else u][y if v < 0 else v]
-                    if not seen[j]:
-                        seen[j] = True
-                        orbit.append(j)
-            orbits.append(sorted(orbit))
-        return orbits
+
+        def images(i):
+            x, y, _ = self.lines[i]
+            return [line_id[sigma[x]][sigma[y]] for sigma in maps]
+
+        return self._orbits(len(self.lines), images)
 
 
 def space_of(g: TranspoGroup) -> FischerSpace:
-    """The Fischer space of g: collinear points x, y span the line {x, y, x^y}."""
-    n = g.size
-    third = [[g.conj[i][j] if g.collinear(i, j) else -1 for j in range(n)] for i in range(n)]
-    labels = [g.payload_str(i) for i in range(n)]
-    return FischerSpace(n, third, labels, g.family, payloads=g.points, group=g)
+    """The Fischer space of g: collinear points x, y span the line {x, y, x^y}, and
+    x^y = x just when x = y or x, y commute."""
+    third = [[-1 if k == i else k for k in row] for i, row in enumerate(g.conj)]
+    labels = [g.payload_str(i) for i in range(g.size)]
+    return FischerSpace(g.size, third, labels, g.family, payloads=g.points, group=g)

@@ -58,17 +58,19 @@ class RootSystem(NamedTuple):
 
     def positive_reflections(self) -> list[list[tuple[int, int, int]]]:
         """Entry [i][j] is (m, k, s) with m = <alpha_i, alpha_j^vee> and
-        sigma_{alpha_j}(alpha_i) = s * alpha_k, indices into positive_roots."""
-        roots = self.positive_roots
-        index = {r: k for k, r in enumerate(roots)}
-        c_beta = [[sum(c * b for c, b in zip(row, beta)) for row in self.cartan] for beta in roots]
-        table = [[] for _ in roots]
-        for alpha, row in zip(roots, table):
-            for beta, cb in zip(roots, c_beta):
-                m = sum(a * c for a, c in zip(alpha, cb))
-                gamma = tuple(a - m * b for a, b in zip(alpha, beta))
-                s = 1 if self.is_positive(gamma) else -1
-                row.append((m, index[tuple(s * c for c in gamma)], s))
+        sigma_{alpha_j}(alpha_i) = s * alpha_k, indices into positive_roots.  Simply
+        laced, m is 2 when i = j, 1 when alpha_i - alpha_j is a root, -1 when
+        alpha_i + alpha_j is one, else 0.  A root's key holds 8 bits per coordinate,
+        so the key of a sum or difference of roots is the sum or difference of keys."""
+        keys = [sum(c << 8 * t for t, c in enumerate(r)) for r in self.positive_roots]
+        diff = {}
+        for k, g in enumerate(keys):
+            diff[g], diff[-g] = (1, k, 1), (1, k, -1)
+        plus = {g: (-1, k, 1) for k, g in enumerate(keys)}
+        table = []
+        for i, a in enumerate(keys):
+            table.append([diff.get(a - b) or plus.get(a + b) or (0, i, 1) for b in keys])
+            table[i][i] = (2, i, -1)
         return table
 
     def is_root(self, v) -> bool:
@@ -90,15 +92,15 @@ def build_root_system(type_name: str, rank: int) -> RootSystem:
     cartan_t = tuple(tuple(row) for row in cartan)
 
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    rs = RootSystem(type_name, rank, cartan_t, tuple(simples))
 
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         nxt = []
-        for alpha in frontier:
-            for s in simples:
-                beta = rs.reflect(alpha, s)
+        for alpha in frontier:  # sigma_i(alpha) = alpha - <alpha, alpha_i^vee> alpha_i
+            for i, col in enumerate(cartan_t):
+                m = sum(a * c for a, c in zip(alpha, col) if a)
+                beta = alpha[:i] + (alpha[i] - m,) + alpha[i + 1 :]
                 if beta not in roots:
                     roots.add(beta)
                     nxt.append(beta)

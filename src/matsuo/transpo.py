@@ -24,9 +24,6 @@ class TranspoGroup(NamedTuple):
     def size(self) -> int:
         return len(self.points)
 
-    def collinear(self, i: int, j: int) -> bool:
-        return i != j and self.conj[i][j] != i
-
     def payload_str(self, i: int) -> str:
         p = self.points[i]
         if self.family == "symmetric":
@@ -37,14 +34,6 @@ class TranspoGroup(NamedTuple):
             eps, alpha = p
             return f"{eps}|r" + "".join(str(c) for c in alpha)
         return "v" + "".join(str(c) for c in p)
-
-
-def _finish(label, family, points, conj_fn, root_system=None) -> TranspoGroup:
-    index = {p: i for i, p in enumerate(points)}
-    table = tuple(
-        tuple(index[conj_fn(a, b)] for b in points) for a in points
-    )
-    return TranspoGroup(label, family, tuple(points), table, root_system)
 
 
 def build_symmetric(n: int) -> TranspoGroup:
@@ -59,7 +48,9 @@ def build_symmetric(n: int) -> TranspoGroup:
         x, y = swap.get(a[0], a[0]), swap.get(a[1], a[1])
         return (x, y) if x < y else (y, x)
 
-    return _finish(f"S{n}", "symmetric", points, conj)
+    index = {p: i for i, p in enumerate(points)}
+    table = tuple(tuple(index[conj(a, b)] for b in points) for a in points)
+    return TranspoGroup(f"S{n}", "symmetric", tuple(points), table)
 
 
 def build_weyl(rs: RootSystem) -> TranspoGroup:
@@ -93,12 +84,12 @@ def build_moufang(n: int) -> TranspoGroup:
     """3^n : 2, points identified with F_3^n, v^w = -v-w."""
     if n < 1:
         raise ValueError("build_moufang needs n >= 1")
-    points = [tuple(v) for v in product(range(3), repeat=n)]
-
-    def conj(a, b):
-        return tuple((-x - y) % 3 for x, y in zip(a, b))
-
-    return _finish(f"M3:{n}", "moufang", points, conj)
+    table = [[0]]
+    for size in (3**t for t in range(n)):  # v = (d, u): -v-w is (-d-e, -u-u') digit by digit
+        table = [[size * ((-d - e) % 3) + x for e in range(3) for x in row]
+                 for d in range(3) for row in table]
+    points = tuple(product(range(3), repeat=n))
+    return TranspoGroup(f"M3:{n}", "moufang", points, tuple(map(tuple, table)))
 
 
 def parse_group(desc: str) -> TranspoGroup:

@@ -344,6 +344,12 @@ CLASSIFY_GOLDEN = {
     ("M3:4", "--csv"): "2ca75b430c5fc5185a23a7a9b52aa5b57addaeab75416ce0070deb5e1d0eef67",
     ("W:E7", "--json"): "8a63c262313f0c4b472faadde63e719be9cd5838f0fbdd5dbdcb8476d326ef1a",
     ("W:E7", "--csv"): "80d934a1cfbbbccd78cbc75bba6e478d147d24015e25ecc6c5b5fa876d97f6f1",
+    # recorded while line orbits still ran every point map and the reflection table
+    # still paired roots by dot products
+    ("3W:E8", "--json"): "4e8763b0b6bbc59bdf10207c47905ca3ab96f2bfe299c3c9ea249331f8a62539",
+    ("3W:E8", "--csv"): "8b34c98d081a01f521355ecf3de2a7067f2df07322d683afc74ca9cdf412c211",
+    ("M3:5", "--json"): "d3b59011fe0cf7ffb33fcef82f6e49bae8e0aab230f47b8be60d2d19d6ace90c",
+    ("M3:5", "--csv"): "fc801a9bbf57c9a95b3cd55425af44de78273ddd7c3c55cd8e7fc13fe7da4c56",
 }
 
 

@@ -189,25 +189,60 @@ def test_is_near_solid_rejects_triples_that_are_not_lines():
     assert fs.is_near_solid((c, a, b)) == fs.is_near_solid(fs.lines[0])
 
 
-def _near_solid_by_enumeration(fs, line):
-    """The plain enumeration: every closure of line + {c, d} from scratch, in the
-    order of `is_near_solid`, and the first component of a type not allowed."""
+def _plain_spans(fs, line):
+    """(span, component, allowed) of every closure of line + {c, d} from scratch,
+    d >= c outside the closure of line + {c}, in the order of `is_near_solid`."""
     lset = frozenset(line)
     for c in range(fs.n):
+        base = fs.closure(lset | {c})
         for d in range(c, fs.n):
-            if d in fs.closure(lset | {c}):
+            if d in base:
                 continue
-            comp = fs.component_of(fs.closure(lset | {c, d}), line[0])
+            span = fs.closure(lset | {c, d})
+            comp = fs.component_of(span, line[0])
             t = fs._component_type(comp)
-            if t in ("ThreeGen", "S5"):
-                continue
-            if t == "AffA3" and fs.line_orbit_class(line) == "vertical":
-                continue
-            return False, {"type": t, "points": sorted(comp)}
+            vertical = t == "AffA3" and fs.line_orbit_class(line) == "vertical"
+            yield span, comp, t in ("ThreeGen", "S5") or vertical
+
+
+def _near_solid_by_enumeration(fs, line):
+    """The plain enumeration: the first component of a type not allowed."""
+    for _, comp, allowed in _plain_spans(fs, line):
+        if not allowed:
+            return False, {"type": fs._component_type(comp), "points": sorted(comp)}
     return True, None
 
 
 @pytest.mark.parametrize("desc", CATALOG + ("M3:4",))
+def test_near_solid_classifies_each_distinct_span_once(desc, monkeypatch):
+    """The sweep classifies the distinct spans of the plain enumeration, each once,
+    in order of first appearance up to the first failure: skipping a pair of base
+    closures met before loses no span."""
+    fs = _space(desc)
+    classified = []
+    component_of = FischerSpace.component_of
+
+    def recording(self, subset, start):
+        classified.append(frozenset(subset))
+        return component_of(self, subset, start)
+
+    for orbit in fs.line_orbits():
+        line = fs.lines[orbit[0]]
+        expected, seen = [], set()
+        for span, _, allowed in _plain_spans(fs, line):
+            if span not in seen:
+                seen.add(span)
+                expected.append(span)
+                if not allowed:
+                    break
+        with monkeypatch.context() as m:
+            m.setattr(FischerSpace, "component_of", recording)
+            classified.clear()
+            fs.is_near_solid(line)
+        assert classified == expected, (desc, line)
+
+
+@pytest.mark.parametrize("desc", CATALOG + ("M3:4", "W:E7", "3W:E6"))
 def test_near_solid_matches_the_plain_enumeration(desc):
     """Closures grown from the closure of line + {c}, each distinct one classified
     once, give the verdict and the witness of the enumeration from scratch."""
@@ -256,6 +291,68 @@ def test_line_orbits_decide_near_solidity(desc):
             assert (witness_i is None) == (witness is None)
             if witness is not None:
                 assert witness_i["type"] == witness["type"], (desc, fs.lines[i])
+
+
+def _line_orbits_under_every_map(fs):
+    """The reference for `line_orbits`: breadth first under the maps of all n points."""
+    index = {line: i for i, line in enumerate(fs.lines)}
+    seen, orbits = set(), []
+    for start in range(len(fs.lines)):
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for i in orbit:
+                for a in range(fs.n):
+                    j = index[_point_map(fs, a, fs.lines[i])]
+                    if j not in seen:
+                        seen.add(j)
+                        orbit.append(j)
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("desc", CATALOG + ("M3:4", "W:E7", "3W:E6"))
+def test_line_orbits_match_the_search_under_every_point_map(desc):
+    """The maps of a checked generating set give the orbits of all n point maps."""
+    fs = _space(desc)
+    assert fs.line_orbits() == _line_orbits_under_every_map(fs)
+
+
+def _lines_space(n, lines):
+    """A space built by hand: the given lines on the points 0..n-1."""
+    third = [[-1] * n for _ in range(n)]
+    for line in lines:
+        for x in line:
+            for y in line:
+                if x != y:
+                    third[x][y] = sum(line) - x - y
+    return FischerSpace(n, third, [str(x) for x in range(n)], "hand")
+
+
+def test_line_orbits_refuse_a_point_map_that_moves_a_line_off_the_lines():
+    """x -> x^0 swaps 1 and 2, so it maps the line {1, 3, 4} onto {2, 3, 4}, which
+    is no line: the orbits are refused, naming point 0, not returned without the
+    line {5, 6, 7} or with an index that is no line's."""
+    fs = _lines_space(8, [(0, 1, 2), (1, 3, 4), (5, 6, 7)])
+    assert fs.lines == [(0, 1, 2), (1, 3, 4), (5, 6, 7)]
+    with pytest.raises(ValueError, match="point 0 "):
+        fs.line_orbits()
+    assert fs.point_orbits() is None
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+def test_space_tables_match_the_pairwise_definition(desc):
+    """`third`, `lines` and `adjacency` read off the conjugation rows are those of
+    the pairwise definition: x, y collinear when x != y and x^y != x."""
+    g = parse_group(desc)
+    fs, n = space_of(g), g.size
+    third = [[g.conj[i][j] if i != j and g.conj[i][j] != i else -1 for j in range(n)]
+             for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if third[i][j] >= 0]
+    lines = {tuple(sorted((i, j, third[i][j]))) for i, j in pairs}
+    assert fs.third == third
+    assert fs.lines == sorted(lines)
+    assert fs.adjacency == [frozenset(b for a, b in pairs if a == i) for i in range(n)]
 
 
 @pytest.mark.parametrize(

@@ -90,3 +90,45 @@ def test_e8_roots_are_pinned():
     assert digest == "cc474f17ffe7fb2e82ff30c4d0478f45d71bafac0b4e5ef5be0dd31716d493b5"
     assert all(rs.is_root(v) and rs.is_root(tuple(-c for c in v)) for v in rs.positive_roots)
     assert not rs.is_root((0,) * 8)
+
+
+ALL_TYPES = [("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 9)]
+ALL_TYPES += [("E", r) for r in (6, 7, 8)]
+
+
+def _roots_by_reflection(rs):
+    """Every root: the simple roots closed under the simple reflections by `reflect`."""
+    roots = set(rs.simple_roots())
+    frontier = list(roots)
+    while frontier:
+        frontier = [rs.reflect(a, s) for a in frontier for s in rs.simple_roots()]
+        frontier = [b for b in set(frontier) if b not in roots]
+        roots.update(frontier)
+    return roots
+
+
+def _reflections_by_pairing(rs):
+    """The per-pair reference for `positive_reflections`: m = alpha^T C beta by dot
+    products, and sigma_beta(alpha) = alpha - m beta as a tuple."""
+    roots = rs.positive_roots
+    index = {r: k for k, r in enumerate(roots)}
+    table = []
+    for alpha in roots:
+        row = []
+        for beta in roots:
+            m = sum(a * c * b for a, crow in zip(alpha, rs.cartan) for c, b in zip(crow, beta))
+            gamma = tuple(a - m * b for a, b in zip(alpha, beta))
+            s = 1 if rs.is_positive(gamma) else -1
+            row.append((m, index[tuple(s * c for c in gamma)], s))
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("type_name,rank", ALL_TYPES)
+def test_reflection_table_matches_the_pairing_definition(type_name, rank):
+    """Root membership (keys with 8 bits per coordinate) gives the table of the
+    pairing, and the Cartan-column reflections give every root."""
+    rs = build_root_system(type_name, rank)
+    assert len(rs.positive_roots) == positive_root_count(type_name, rank)
+    assert rs.root_set == _roots_by_reflection(rs)
+    assert rs.positive_reflections() == _reflections_by_pairing(rs)

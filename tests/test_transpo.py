@@ -1,5 +1,7 @@
 """3-transposition catalog: conjugation invariants and the closed-form special cases."""
 
+from itertools import product
+
 import pytest
 
 from matsuo.roots import parse_root_system
@@ -11,6 +13,11 @@ from matsuo.transpo import (
     build_weyl,
     parse_group,
 )
+
+
+def _collinear(g, i, j):
+    """Points i != j noncommute: i^j is not i."""
+    return i != j and g.conj[i][j] != i
 
 
 @pytest.fixture(scope="module", params=CATALOG)
@@ -38,8 +45,8 @@ def test_conjugation_invariants_exhaustive(group):
             # involution
             assert g.conj[g.conj[b][a]][a] == b
             # fixed iff equal or commuting
-            assert (g.conj[b][a] == b) == (not g.collinear(a, b))
-            if g.collinear(a, b):
+            assert (g.conj[b][a] == b) == (not _collinear(g, a, b))
+            if _collinear(g, a, b):
                 # the third point of the line is well defined
                 assert g.conj[a][b] == g.conj[b][a]
 
@@ -50,7 +57,7 @@ def test_conjugation_preserves_order(group):
     for a in range(n):
         for x in range(n):
             for y in range(x + 1, n):
-                assert g.collinear(g.conj[x][a], g.conj[y][a]) == g.collinear(x, y)
+                assert _collinear(g, g.conj[x][a], g.conj[y][a]) == _collinear(g, x, y)
 
 
 def test_conjugation_is_an_automorphism(group):
@@ -59,7 +66,7 @@ def test_conjugation_is_an_automorphism(group):
     for c in range(n):
         for a in range(n):
             for b in range(n):
-                if g.collinear(a, b):
+                if _collinear(g, a, b):
                     lhs = g.conj[g.conj[a][b]][c]
                     rhs = g.conj[g.conj[a][c]][g.conj[b][c]]
                     assert lhs == rhs
@@ -94,7 +101,17 @@ def test_moufang_conjugation_rule():
             expected = tuple((-x - y) % 3 for x, y in zip(v, w))
             assert g.points[g.conj[i][j]] == expected
             if i != j:
-                assert g.collinear(i, j)  # all distinct points noncommute
+                assert _collinear(g, i, j)  # all distinct points noncommute
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moufang_table_matches_minus_v_minus_w(n):
+    """The base-3 digit recursion gives v^w = -v-w on F_3^n, points in product order."""
+    g = build_moufang(n)
+    assert list(g.points) == list(product(range(3), repeat=n))
+    index = {v: i for i, v in enumerate(g.points)}
+    for v, row in zip(g.points, g.conj):
+        assert list(row) == [index[tuple((-x - y) % 3 for x, y in zip(v, w))] for w in g.points]
 
 
 def test_symmetric_group_commuting_iff_disjoint():
@@ -102,7 +119,7 @@ def test_symmetric_group_commuting_iff_disjoint():
     for i, p in enumerate(g.points):
         for j, q in enumerate(g.points):
             if i != j:
-                assert (not g.collinear(i, j)) == (not set(p) & set(q))
+                assert (not _collinear(g, i, j)) == (not set(p) & set(q))
 
 
 def test_weyl_commuting_iff_orthogonal():
@@ -111,7 +128,7 @@ def test_weyl_commuting_iff_orthogonal():
     for i, a in enumerate(g.points):
         for j, b in enumerate(g.points):
             if i != j:
-                assert (not g.collinear(i, j)) == (rs.pairing(a, b) == 0)
+                assert (not _collinear(g, i, j)) == (rs.pairing(a, b) == 0)
 
 
 def _reflection_conj_tables(rs):
@@ -158,7 +175,7 @@ def _noncommuting_pair_orbit(g):
     """Orbit of one noncommuting ordered pair under all conjugations."""
     n = g.size
     start = next(
-        (a, b) for a in range(n) for b in range(n) if g.collinear(a, b)
+        (a, b) for a in range(n) for b in range(n) if _collinear(g, a, b)
     )
     seen = {start}
     stack = [start]
@@ -177,7 +194,7 @@ def test_transitive_on_noncommuting_pairs(desc):
     g = parse_group(desc)
     n = g.size
     total = sum(
-        1 for a in range(n) for b in range(n) if g.collinear(a, b)
+        1 for a in range(n) for b in range(n) if _collinear(g, a, b)
     )
     assert len(_noncommuting_pair_orbit(g)) == total
 
