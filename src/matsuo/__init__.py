@@ -8,7 +8,7 @@ two exceptional families.
 
 __version__ = "1.0.0"
 
-from .fields import Field, FieldElement, parse_field, sqrt_in_field
+from .fields import Field, parse_field
 from .fischer import FischerSpace, space_of
 from .roots import RootSystem, parse_root_system
 from .transpo import CATALOG, TranspoGroup, parse_group
@@ -16,7 +16,6 @@ from .transpo import CATALOG, TranspoGroup, parse_group
 __all__ = [
     "CATALOG",
     "Field",
-    "FieldElement",
     "FischerSpace",
     "RootSystem",
     "TranspoGroup",
@@ -25,5 +24,4 @@ __all__ = [
     "parse_group",
     "parse_root_system",
     "space_of",
-    "sqrt_in_field",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .fields import Field, QuadraticExtension, field_name
 from .fischer import FischerSpace
 from .linalg import Echelon, axpy
@@ -28,7 +27,8 @@ class BadCharacteristic(AlgebraError):
 
 
 class NotSemisimple(AlgebraError):
-    """Eigenspace dimensions of an axis do not add up to dim A."""
+    """The closed-form eigenbasis of an axis, read off the lines through it, is not
+    an eigenbasis of L_a: the table is not the Matsuo table at that axis."""
 
 
 class AutosError(Exception):
@@ -214,35 +214,37 @@ class MatsuoAlgebra(SparseAlgebra):
 
     # -- axes and fusion --------------------------------------------------------
 
-    def mult_matrix(self, a: int) -> list[dict]:
-        """Rows of L_a: row[c] maps basis j to coefficient of c in a*e_j."""
-        rows: dict[int, dict] = {}
-        for j in range(self.dim):
-            for c, v in self.basis_product(a, j).items():
-                rows.setdefault(c, {})[j] = v
-        return [rows.get(c, {}) for c in range(self.dim)]
-
     def eigendecompose(self, a: int) -> Eigendecomp:
-        F = self.field
-        rows = self.mult_matrix(a)
+        """The eigenspaces of L_a, read off the lines through a and checked exactly.
 
-        def shifted(lam):
-            out = [axpy(dict(rows[c]), F.neg(lam), {c: F.one_raw()}, F) for c in range(self.dim)]
-            return [r for r in out if r]
-
-        ker0 = linalg.nullspace(shifted(F.zero_raw()), self.dim, F)
-        ker_eta = linalg.nullspace(shifted(self.eta), self.dim, F)
-        ker1 = linalg.nullspace(shifted(F.one_raw()), self.dim, F)
-        if len(ker1) != 1:
-            raise NotSemisimple(f"1-eigenspace of axis {a} has dimension {len(ker1)}")
-        if 1 + len(ker0) + len(ker_eta) != self.dim:
-            raise NotSemisimple(
-                f"axis {a}: eigenspace dims 1+{len(ker0)}+{len(ker_eta)} != {self.dim}"
-            )
-        return Eigendecomp(a, ker1, ker0, ker_eta)
+        space_1 = [e_a]; each line {a, b, c}, b < c, in order of b, gives e_b - e_c to
+        space_eta and e_b + e_c - eta e_a to space_0; then each e_d, d not collinear
+        with a, joins space_0 in order of d.  Once `third[a]` pairs the points collinear
+        with a, these n vectors are independent (char k != 2, eta not 0 or 1), so when
+        L_a v = lambda v holds for each, L_a is semisimple with these eigenspaces.
+        """
+        F, row = self.field, self.fs.third[a]
+        if any(c >= 0 and (row[c] != b or c in (a, b)) for b, c in enumerate(row) if b != a):
+            raise NotSemisimple(f"axis {a}: third[{a}] does not pair the points collinear with it")
+        one, minus_eta = F.one_raw(), F.neg(self.eta)
+        lines = [(b, c) for b, c in enumerate(row) if b < c and b != a]
+        space_eta = [{b: one, c: F.neg(one)} for b, c in lines]
+        space_0 = [{b: one, c: one, a: minus_eta} for b, c in lines]
+        space_0 += [{d: one} for d, c in enumerate(row) if c < 0 and d != a]
+        e_a = {a: one}
+        for label, lam, space in (("1", one, [e_a]), ("0", F.zero_raw(), space_0),
+                                  ("eta", self.eta, space_eta)):
+            for i, v in enumerate(space):
+                if self.sub(self.multiply(e_a, v), self.scale(lam, v)):
+                    raise NotSemisimple(f"axis {a}: L_a v != {label} v for {label}-vector {i}")
+        return Eigendecomp(a, [{a: one}], space_0, space_eta)
 
     def check_fusion(self, a: int) -> list[dict]:
-        """Violations of the Jordan fusion law at axis a (empty report = pass)."""
+        """Violations of the Jordan fusion law at axis a (empty report = pass).
+
+        `pair` (i, j) of law l1*l2: vector i of the l1-space times vector j of the
+        l2-space, in the order of `eigendecompose`, leaves the span the law allows.
+        """
         F = self.field
         dec = self.eigendecompose(a)
         spaces = {

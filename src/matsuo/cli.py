@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -29,7 +28,7 @@ from fractions import Fraction
 # the other layers are imported by the commands that run them: where bytecode
 # is not cached, every module imported here is compiled on each start
 from . import __version__
-from .fields import DivisionByZero, Field, FieldError, parse_field, sqrt_in_field
+from .fields import DivisionByZero, Field, FieldError, parse_field
 from .fischer import space_of
 from .roots import parse_root_system
 from .transpo import CATALOG, parse_group
@@ -44,17 +43,6 @@ SUITE_NAMES = ("fusion", "equivalence", "model", "torus", "section")
 
 class UsageError(Exception):
     pass
-
-
-def _positive_threads() -> int:
-    raw = os.environ.get("MATSUO_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"MATSUO_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("MATSUO_THREADS must be a positive integer")
-    return n
 
 
 def _field_and_eta(args) -> tuple[Field, object]:
@@ -223,7 +211,8 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
     rng = random.Random(args.seed)
     groups = [args.group] if args.group is not None else list(CATALOG)
     types = [args.type] if args.type is not None else ["A2", "A3"]
-    if args.suite in ("all", "model", "torus", "section") and sqrt_in_field(field, 3) is None:
+    needs_sqrt3 = args.suite in ("all", "model", "torus", "section")
+    if needs_sqrt3 and field.sqrt_raw(field.coerce(3)) is None:
         raise UsageError(f"suite {args.suite!r} needs a field containing sqrt(3)")
     if field.characteristic == 3:
         raise UsageError("verification suites need char k != 3")
@@ -320,7 +309,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     args._t0 = time.time()
     try:
-        _positive_threads()
         report, table = args.func(args)
         _emit(args, report, table)
     except UsageError as e:

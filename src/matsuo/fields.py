@@ -51,7 +51,8 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldElement(NamedTuple):
-    """A raw value paired with its field, as `sqrt_in_field` returns it."""
+    """A raw value paired with its field, as `sqrt_in_field` returns it.  The package
+    asks `field.sqrt_raw(field.coerce(d))`; only `bench/traced.py` reads these two."""
 
     field: Field
     raw: object

@@ -15,7 +15,7 @@ from .algebra import AlgebraError, AutosError, MatsuoAlgebra
 from .deriv import (
     LinearEndo, build_r_system, derivation_basis, is_derivation, satisfies_r_system, spans_agree
 )
-from .fields import DivisionByZero, Field, FieldError, QuadraticExtension, sqrt_in_field
+from .fields import DivisionByZero, Field, FieldError, QuadraticExtension
 from .fischer import space_of
 from .roots import RootSystem, parse_root_system
 from .transpo import parse_group
@@ -148,7 +148,7 @@ def section(field: Field, t: str, rng: random.Random, trials) -> tuple[bool, dic
     if flip is not None:
         autos.root_automorphism(M, autos.diagram_automorphism_matrix(rs, flip))
         detail["diagram_flip"] = True
-    if sqrt_in_field(field, -1) is None or sqrt_in_field(field, 3) is None:
+    if field.sqrt_raw(field.coerce(-1)) is None or field.sqrt_raw(field.coerce(3)) is None:
         return True, detail
     # every draw gives one verdict: c - i s is a character, and e_a e_b involves no torus
     params = [_param(field, rng, nontrivial=True) for _ in range(rs.rank)]

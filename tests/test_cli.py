@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matsuo
-from matsuo import autos, verify
+from matsuo import autos, linalg, verify
 from matsuo.algebra import MatsuoAlgebra, NotSemisimple
 from matsuo.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, SUITE_NAMES, main
 
@@ -172,6 +172,12 @@ def test_verify_raised_error_is_a_failed_entry(monkeypatch, capsys, owner, attr,
     assert entry["detail"] == {"error": str(exc)}
 
 
+def test_fusion_solves_no_nullspace(monkeypatch, capsys):
+    """Each axis's eigenbasis is read off the lines through it, not solved for."""
+    monkeypatch.setattr(linalg, "nullspace", _raise(AssertionError("nullspace called")))
+    assert run(["verify", "fusion", "--group", "3W:D4"], capsys)[0] == EXIT_OK
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["build", "NOPE"], capsys)[0] == EXIT_USAGE
     assert run(["build", "S4", "--field", "Fp:4"], capsys)[0] == EXIT_USAGE
@@ -284,13 +290,6 @@ def test_exact_scalars_serialized_as_strings(capsys):
     for entry_list in doc["results"]["basis"]:
         for a, b, coeff in entry_list:
             assert isinstance(coeff, str)
-
-
-def test_threads_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("MATSUO_THREADS", "0")
-    assert run(["build", "S3"], capsys)[0] == EXIT_USAGE
-    monkeypatch.setenv("MATSUO_THREADS", "4")
-    assert run(["build", "S3"], capsys)[0] == EXIT_OK
 
 
 # sha256 of `derive <group> --field <field> --json`, recorded before the

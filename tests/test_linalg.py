@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from matsuo.fields import PrimeField, QuadraticExtension, Rationals, sqrt_in_field
+from matsuo.fields import PrimeField, QuadraticExtension, Rationals
 from matsuo.linalg import Echelon, axpy, nullspace, rank, rational_lift
 
 Q = Rationals()
@@ -125,7 +125,7 @@ def test_echelon_insert_reports_growth():
 
 def _value(field, a, b):
     """a + b sqrt(3) in Q(sqrt:3), a + 2b in the other fields."""
-    g = sqrt_in_field(field, 3).raw if field is QS3 else field.coerce(2)
+    g = field.sqrt_raw(field.coerce(3)) if field is QS3 else field.coerce(2)
     return field.add(field.coerce(a), field.mul(field.coerce(b), g))
 
 

@@ -11,9 +11,10 @@ from matsuo.algebra import (
     BadEta,
     IntegerForm,
     MatsuoAlgebra,
+    NotSemisimple,
 )
 from matsuo.fields import PrimeField, Rationals, parse_field
-from matsuo.fischer import space_of
+from matsuo.fischer import FischerSpace, space_of
 from matsuo.linalg import axpy
 from matsuo.transpo import CATALOG, parse_group
 
@@ -137,11 +138,46 @@ def test_perturbed_structure_constants_violate_fusion():
     k = next(iter(row))
     row[k] = row[k] + Fraction(1, 3)
     A.products[(min(i, j), max(i, j))] = row
-    try:
-        violations = A.check_fusion(0)
-    except Exception:
-        violations = ["degenerate"]
-    assert violations
+    with pytest.raises(NotSemisimple, match="^axis 0:"):
+        A.check_fusion(0)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "non-collinear"])
+def test_tampered_product_at_the_axis_is_refused(where):
+    """e_a e_a or e_a e_d off the Matsuo table fails the closed-form eigenbasis of a
+    (a collinear pair is the perturbed test above)."""
+    A, a = _alg("S5"), 3
+    x = a if where == "diagonal" else next(
+        d for d in range(A.dim) if d != a and not A.fs.collinear(a, d)
+    )
+    key = (min(a, x), max(a, x))
+    A.products[key] = {**A.products.get(key, {}), a: Fraction(1, 3)}
+    with pytest.raises(NotSemisimple, match=f"^axis {a}:"):
+        A.eigendecompose(a)
+
+
+def test_third_that_does_not_pair_the_lines_is_refused():
+    """third[0][3] = 1 but third[0][1] = -1, so no line read off row 0 covers 3: each
+    vector read off it satisfies L_0 v = lambda v, yet they span 3 of 4 dimensions."""
+    third = [[-1] * 4 for _ in range(4)]
+    third[0][3] = 1
+    A = MatsuoAlgebra(FischerSpace(4, third, list("0123"), "hand"), HALF, Q)
+    with pytest.raises(NotSemisimple, match="^axis 0:"):
+        A.eigendecompose(0)
+
+
+def test_tampered_product_off_the_axis_breaks_only_the_fusion_law():
+    """e_u e_v for u, v not collinear with a leaves L_a, so the eigenbasis passes, and
+    the fusion law fails at the pair of space_0 indices of e_u and e_v."""
+    A, a = _alg("S5"), 0
+    u, v = [d for d in range(1, A.dim) if not A.fs.collinear(a, d)][:2]
+    A.products[(u, v)] = {**A.products.get((u, v), {}), a: Fraction(1)}
+    dec = A.eigendecompose(a)
+    iu, iv = dec.space_0.index({u: Fraction(1)}), dec.space_0.index({v: Fraction(1)})
+    assert A.check_fusion(a) == [
+        {"axis": a, "law": "0*0", "pair": (iu, iv)},
+        {"axis": a, "law": "0*0", "pair": (iv, iu)},
+    ]
 
 
 def _projection(A, a, b):

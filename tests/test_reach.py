@@ -14,6 +14,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import sys
 from fnmatch import fnmatchcase
 
@@ -22,6 +23,7 @@ from matsuo.cli import EXIT_OK, main
 
 SRC = os.path.dirname(os.path.realpath(matsuo.__file__))
 TESTS = os.path.dirname(os.path.realpath(__file__))
+README = os.path.join(os.path.dirname(TESTS), "README.md")
 
 # each command is small; together they touch every path that has a command
 LADDER = [
@@ -38,6 +40,7 @@ LADDER = [
 # qualified name pattern -> why it may stay without a command reaching it
 ALLOWED = {
     "Eigendecomp.dims": "the public example in README",
+    "sqrt_in_field": "bench/traced.py reads it; the package asks `Field.sqrt_raw`",
     "ZeroSumJordan.*": "the matrix model of M(S_n), for a `verify component` suite",
     "symmetric_model_iso": "the matrix model of M(S_n), for a `verify component` suite",
     "LinearEndo.commutator": "the Lie bracket on Der, for a `verify component` suite",
@@ -149,3 +152,13 @@ def test_allow_list_names_existing_functions():
     names = set(_definitions().values())
     stale = [p for p in ALLOWED if not any(fnmatchcase(n, p) for n in names)]
     assert not stale, f"allow-list entries that match no function: {stale}"
+
+
+def test_readme_example_prints_what_its_comments_say(capsys):
+    """The README's Python example, which keeps `Eigendecomp.dims` on ALLOWED, prints
+    on each `print` line the value its comment gives."""
+    with open(README) as fh:
+        (example,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    lines = [line for line in example.splitlines() if line.startswith("print(")]
+    exec(compile(example, README, "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [line.split("# ", 1)[1] for line in lines]

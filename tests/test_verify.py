@@ -193,7 +193,7 @@ def test_matsuo_table_check_refuses_any_other_table(tamper):
 
 
 def test_fusion_checks_every_axis_of_a_perturbed_table(monkeypatch):
-    A = verify._algebra("S4", Q)  # perturbed as in test_matsuo.py: L_1 is then not semisimple
+    A = verify._algebra("S4", Q)  # perturbed as in test_matsuo.py: axis 0 is refused
     i, j = 0, next(b for b in range(A.dim) if A.fs.collinear(0, b))
     row = dict(A.products[(i, j)])
     row[next(iter(row))] += Fraction(1, 3)
@@ -202,7 +202,7 @@ def test_fusion_checks_every_axis_of_a_perturbed_table(monkeypatch):
     expected = _every_axis_entry(monkeypatch, A)
     entry, axes = _fusion_on(monkeypatch, A)
     assert (entry, axes) == expected
-    assert axes == [0, 1] and "axis 1" in entry["detail"]["error"]  # it raises at the same axis
+    assert axes == [0] and "axis 0" in entry["detail"]["error"]  # it raises at the same axis
 
 
 @pytest.mark.parametrize(
