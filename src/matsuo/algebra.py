@@ -39,8 +39,7 @@ class AutosError(Exception):
 class Eigendecomp:
     """Eigenspace bases of the left multiplication by an axis: 1, 0 and eta parts."""
 
-    def __init__(self, axis, space_1, space_0, space_eta):
-        self.axis = axis
+    def __init__(self, space_1, space_0, space_eta):
         self.space_1 = space_1
         self.space_0 = space_0
         self.space_eta = space_eta
@@ -237,7 +236,7 @@ class MatsuoAlgebra(SparseAlgebra):
             for i, v in enumerate(space):
                 if self.sub(self.multiply(e_a, v), self.scale(lam, v)):
                     raise NotSemisimple(f"axis {a}: L_a v != {label} v for {label}-vector {i}")
-        return Eigendecomp(a, [{a: one}], space_0, space_eta)
+        return Eigendecomp([{a: one}], space_0, space_eta)
 
     def check_fusion(self, a: int) -> list[dict]:
         """Violations of the Jordan fusion law at axis a (empty report = pass).

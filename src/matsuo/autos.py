@@ -1,16 +1,16 @@
-"""Automorphism constructions for the two exceptional families.
+"""Automorphism constructions for M(3^n:W).
 
-Covers the zero-row-sum symmetric matrix model of M(S_n), the block model of
-M(3^n:W) over a field containing sqrt(3), its explicit isomorphism, the torus
-of rotation automorphisms, root-system-induced automorphisms, and the
-character bookkeeping of the torus action.
+Covers the block model of M(3^n:W) over a field containing sqrt(3), its
+explicit isomorphism, the torus of rotation automorphisms, root-system-induced
+automorphisms, and the character bookkeeping of the torus action.
 
 Every map built here passes `verify_automorphism`, which checks it on every
 basis pair in Python ints: it reads the integer table that each algebra
 caches (`SparseAlgebra.integer_table`), clears only the map's columns, and
 over F_p reduces the difference mod p only where it is compared with zero.
-All three algebras are structure-constant tables (`SparseAlgebra`), so the
-check reads the same kind of table for every source and target.
+Both algebras, the Matsuo algebra and model B, are structure-constant tables
+(`SparseAlgebra`), so the check reads the same kind of table for every source
+and target.
 """
 
 from __future__ import annotations
@@ -302,79 +302,6 @@ def root_automorphism(M: MatsuoAlgebra, mat) -> LinearEndo:
     endo = LinearEndo(M.dim, cols)
     verify_automorphism(M, endo)
     return endo
-
-
-# -- zero-sum symmetric matrix model of M(S_n) --------------------------------
-
-
-class ZeroSumJordan(SparseAlgebra):
-    """Symmetric n x n matrices with zero row sums under the Jordan product.
-
-    The table runs over the n^2 matrix units e_rc, keyed r * n + c (0-based):
-    e_rc . e_st = (1/2)(delta_cs e_rt + delta_tr e_sc).  The algebra is the
-    subspace of zero-sum symmetric matrices, of dimension n(n - 1)/2.
-    """
-
-    def __init__(self, n: int, field: Field):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        self.n = n
-        self.field = field
-        self.dim = n * (n - 1) // 2
-        F = field
-        half = F.div(F.one_raw(), F.coerce(2))
-        products: dict = {}
-        for r in range(n):
-            for c in range(n):
-                for t in range(n):
-                    # e_rc e_ct = e_rt is half the Jordan product, all of it when e_rc = e_ct
-                    u, v, w = r * n + c, c * n + t, r * n + t
-                    row = products.setdefault((u, v) if u <= v else (v, u), {})
-                    x = F.one_raw() if u == v else half
-                    row[w] = F.add(row[w], x) if w in row else x
-        self.products = products
-
-    def transposition_image(self, i: int, j: int) -> dict:
-        """(ij) -> (1/2)(e_ii + e_jj - e_ij - e_ji), keyed by r * n + c (0-based)."""
-        F = self.field
-        half = F.div(F.one_raw(), F.coerce(2))
-        i, j = i - 1, j - 1
-        n = self.n
-        return {
-            i * n + i: half,
-            j * n + j: half,
-            i * n + j: F.neg(half),
-            j * n + i: F.neg(half),
-        }
-
-    def is_zero_sum_symmetric(self, x: dict) -> bool:
-        F = self.field
-        n = self.n
-        for r in range(n):
-            acc = F.zero_raw()
-            for c in range(n):
-                acc = F.add(acc, x.get(r * n + c, F.zero_raw()))
-            if not F.is_zero(acc):
-                return False
-        return all(
-            x.get(r * n + c, F.zero_raw()) == x.get(c * n + r, F.zero_raw())
-            for r in range(n)
-            for c in range(r + 1, n)
-        )
-
-
-def symmetric_model_iso(M: MatsuoAlgebra) -> tuple[ZeroSumJordan, list[dict]]:
-    """Verified isomorphism M(S_n) -> zero-sum symmetric Jordan matrices."""
-    fs = M.fs
-    if fs.family != "symmetric" or fs.payloads is None:
-        raise AutosError("the matrix model applies to M(S_n)")
-    n = max(max(p) for p in fs.payloads)
-    Z = ZeroSumJordan(n, M.field)
-    cols = [Z.transposition_image(*p) for p in fs.payloads]
-    if not all(Z.is_zero_sum_symmetric(col) for col in cols):
-        raise VerificationFailure("image leaves the zero-sum symmetric space")
-    verify_automorphism(M, LinearEndo(M.dim, cols), Z)
-    return Z, cols
 
 
 # -- torus characters ----------------------------------------------------------

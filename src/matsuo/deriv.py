@@ -59,11 +59,6 @@ class LinearEndo:
         """self after other."""
         return LinearEndo(self.dim, [self.apply(A, col) for col in other.cols])
 
-    def commutator(self, A: MatsuoAlgebra, other: "LinearEndo") -> "LinearEndo":
-        de = self.compose(A, other)
-        ed = other.compose(A, self)
-        return LinearEndo(self.dim, [A.sub(x, y) for x, y in zip(de.cols, ed.cols)])
-
 
 def is_derivation(A: SparseAlgebra, d: LinearEndo) -> bool:
     """Whether d(e_i e_j) = d(e_i) e_j + e_i d(e_j) on every basis pair, checked in Python ints.

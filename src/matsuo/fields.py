@@ -282,28 +282,18 @@ class QuadraticExtension(Field):
         return f"{self.base.format(a[0])}+{self.base.format(a[1])}*sqrt{dtag}"
 
     def sqrt_raw(self, v):
+        """A square root of a base-field value v, or None if v is not a square here."""
         v = self.coerce(v)
         F = self.base
         a, b = v
-        half = F.inv(F.coerce(2))
-        if F.is_zero(b):
-            r = F.sqrt_raw(a)
-            if r is not None:
-                return (r, F.zero_raw())
-            r = F.sqrt_raw(F.div(a, self.d))
-            if r is not None:
-                return (F.zero_raw(), r)
-            return None
-        disc = F.sub(F.mul(a, a), F.mul(self.d, F.mul(b, b)))
-        s = F.sqrt_raw(disc)
-        if s is None:
-            return None
-        for sign in (s, F.neg(s)):
-            x2 = F.mul(F.add(a, sign), half)
-            x = F.sqrt_raw(x2)
-            if x is not None and not F.is_zero(x):
-                y = F.div(F.mul(b, half), x)
-                return (x, y)
+        if not F.is_zero(b):
+            raise ValueError(f"sqrt_raw over {self} takes a base-field value, not {self.format(v)}")
+        r = F.sqrt_raw(a)
+        if r is not None:
+            return (r, F.zero_raw())
+        r = F.sqrt_raw(F.div(a, self.d))
+        if r is not None:
+            return (F.zero_raw(), r)
         return None
 
     def __eq__(self, other):

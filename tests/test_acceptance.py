@@ -316,6 +316,12 @@ def _qq_columns(vectors, nrows):
     return DomainMatrix(rows, (nrows, len(vectors)), QQ)
 
 
+def _bracket(A, d, e):
+    """The Lie bracket [d, e] = d e - e d, from `LinearEndo.compose`."""
+    de, ed = d.compose(A, e), e.compose(A, d)
+    return LinearEndo(A.dim, [A.sub(x, y) for x, y in zip(de.cols, ed.cols)])
+
+
 def _adjoint_matrices(A, basis):
     """ad d for each d in basis, in basis coordinates; None if the span is not
     closed under the commutator."""
@@ -325,7 +331,7 @@ def _adjoint_matrices(A, basis):
     if len(pivots) != m:
         return None
     pivots = list(pivots)
-    brackets = _qq_columns([d.commutator(A, e).to_vector() for d in basis for e in basis], size)
+    brackets = _qq_columns([_bracket(A, d, e).to_vector() for d in basis for e in basis], size)
     coords = B.extract(pivots, list(range(m))).inv() * brackets.extract(pivots, list(range(m * m)))
     if B * coords != brackets:
         return None

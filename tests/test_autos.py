@@ -1,4 +1,4 @@
-"""Automorphism constructions: model B, its isomorphism, torus, root maps, ZS_n."""
+"""Automorphism constructions: model B, its isomorphism, torus, root maps."""
 
 import itertools
 import random
@@ -14,14 +14,12 @@ from matsuo.autos import (
     NoSqrt3,
     NotRootAutomorphism,
     VerificationFailure,
-    ZeroSumJordan,
     character_report,
     diagram_automorphism_matrix,
     model_b_iso,
     pythagorean_param,
     root_automorphism,
     so2_mul,
-    symmetric_model_iso,
     torus_automorphism,
     verify_automorphism,
     weyl_reflection_matrix,
@@ -29,7 +27,6 @@ from matsuo.autos import (
 from matsuo.deriv import LinearEndo
 from matsuo.fields import PrimeField, Rationals, parse_field
 from matsuo.fischer import space_of
-from matsuo.linalg import axpy, rank
 from matsuo.roots import parse_root_system
 from matsuo.transpo import parse_group
 
@@ -367,86 +364,6 @@ def test_point_maps_that_preserve_third_are_automorphisms(desc):
     assert all(verdicts[: len(maps)]) and not all(verdicts)
 
 
-# -- zero-sum symmetric matrix model ----------------------------------------------
-
-
-def test_zero_sum_jordan_dimension_and_idempotents():
-    Z = ZeroSumJordan(5, Q)
-    assert Z.dim == 10
-    img = Z.transposition_image(1, 2)
-    assert Z.is_zero_sum_symmetric(img)
-    assert Z.multiply(img, img) == img  # rank-1 projection
-
-
-@pytest.mark.parametrize("desc,field", [("S4", Q), ("S5", Q), ("S5", PrimeField(13))])
-def test_symmetric_model_iso_verified(desc, field):
-    M = _matsuo(desc, field)
-    Z, cols = symmetric_model_iso(M)
-    assert Z.dim == M.dim
-    assert rank(cols, field) == M.dim
-
-
-def test_symmetric_model_iso_verifies_when_p_divides_n():
-    # the model needs only 1/2, so p | n is no obstacle; the map verifies itself
-    for desc, p in (("S5", 5), ("S7", 7)):
-        M = _matsuo(desc, PrimeField(p))
-        Z, cols = symmetric_model_iso(M)
-        assert Z.dim == M.dim
-        assert rank(cols, M.field) == M.dim
-
-
-def test_jordan_products_stay_zero_sum_symmetric():
-    Z = ZeroSumJordan(4, Q)
-    rng = random.Random(8)
-    imgs = [Z.transposition_image(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    for _ in range(10):
-        x, y = rng.choice(imgs), rng.choice(imgs)
-        assert Z.is_zero_sum_symmetric(Z.multiply(x, y))
-
-
-def _old_jordan_product(Z, x, y):
-    """(xy + yx) / 2 by the explicit matrix formula ZeroSumJordan used before its table."""
-    F = Z.field
-    n = Z.n
-    half = F.div(F.one_raw(), F.coerce(2))
-    out: dict = {}
-    for u, v in ((x, y), (y, x)):
-        for k, w in u.items():
-            r, c = divmod(k, n)  # u_rc e_rc . v = u_rc sum_m v_cm e_rm
-            row_c = {r * n + m % n: z for m, z in v.items() if m // n == c}
-            axpy(out, F.mul(half, w), row_c, F)
-    return out
-
-
-def _random_zero_sum_symmetric(Z, rng):
-    F = Z.field
-    n = Z.n
-    x = {}
-    for r in range(n):
-        for c in range(r + 1, n):
-            x[r * n + c] = x[c * n + r] = F.coerce(rng.randint(-4, 4))
-    for r in range(n):
-        acc = F.zero_raw()
-        for c in range(n):
-            if c != r:
-                acc = F.add(acc, x[r * n + c])
-        x[r * n + r] = F.neg(acc)
-    return {k: v for k, v in x.items() if not F.is_zero(v)}
-
-
-@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
-@pytest.mark.parametrize("n", [4, 5, 7])
-def test_zero_sum_jordan_table_matches_the_matrix_formula(n, field):
-    Z = ZeroSumJordan(n, field)
-    rng = random.Random(n)
-    for _ in range(10):
-        x, y = _random_zero_sum_symmetric(Z, rng), _random_zero_sum_symmetric(Z, rng)
-        assert Z.is_zero_sum_symmetric(x)
-        prod = Z.multiply(x, y)
-        assert prod == _old_jordan_product(Z, x, y)
-        assert Z.is_zero_sum_symmetric(prod)
-
-
 # -- the integer multiplicativity check against plain field arithmetic --------------
 
 
@@ -487,14 +404,15 @@ def _checked_failing_pair(A, cols, T):
 @pytest.mark.parametrize("fdesc", ["Q", "Fp:13", "Q(sqrt:3)", "Q(sqrt:1/3)", "Fp:7(sqrt:3)"])
 def test_integer_check_matches_field_arithmetic(fdesc):
     field = parse_field(fdesc)
+    rs = parse_root_system("A2")
+    M = _matsuo("3W:A2", field)
     maps = []  # (source, map, target, a fresh build of the target)
     if fdesc != "Q":  # model B needs sqrt 3
-        B = ModelB(parse_root_system("A2"), field)
-        M = _matsuo("3W:A2", field)
+        B = ModelB(rs, field)
         maps.append((B, model_b_iso(B, M), M, lambda: _matsuo("3W:A2", field)))
-    S = _matsuo("S4", field)
-    Z, cols = symmetric_model_iso(S)
-    maps.append((S, cols, Z, lambda: ZeroSumJordan(Z.n, field)))
+    # a Weyl reflection exists over every field, and the table of M has denominators
+    sigma = root_automorphism(M, weyl_reflection_matrix(rs, rs.simple_roots()[0]))
+    maps.append((M, sigma.cols, M, lambda: _matsuo("3W:A2", field)))
     for A, cols, T, fresh in maps:
         F = field
         assert _reference_failing_pair(A, cols, T) is None

@@ -305,6 +305,9 @@ DERIVE_GOLDEN = {
     ("3W:D4", "F13"): "448fa0b953ddfa0adad63245069244b6a16c89e537c26cd38c0333ffc52a2350",
     ("M3:2", "Q"): "3ddb07d5021a99242afb0b21ff95c0444f72ac92578041235f6340a6d4be3b11",
     ("M3:2", "F13"): "a90684c2ed84512c21361aa57c335fdc0e2d2343be7881d1ec74db58994b3efe",
+    # recorded while derive still solved the rational rows over the extension field
+    ("3W:A2", "Q(sqrt:3)"): "6db64064601b2e7ce3a7eb4f2bff41b480eb50db2dc6c8320e57ab39b9c93f5e",
+    ("3W:A3", "F13(sqrt:2)"): "db5ac175370b0b7e4174edd5e1cdb6ae3b793d873c2c22f993f48785e85b083e",
 }
 
 

@@ -131,10 +131,10 @@ def test_field_element_is_a_value():
 def test_sqrt_in_quadratic_extension():
     s = _sqrt(QS3, 3)
     assert s is not None and QS3.mul(s, s) == QS3.coerce(3)
-    # 7 + 4*sqrt(3) = (2 + sqrt(3))^2
-    v = QS3.coerce((7, 4))
-    r = _sqrt(QS3, v)
-    assert r is not None and QS3.mul(r, r) == v
+    assert _sqrt(QS3, 2) is None  # None means only: not a square
+    # 7 + 4*sqrt(3) = (2 + sqrt(3))^2, but sqrt_raw takes base-field values only
+    with pytest.raises(ValueError, match="base-field value"):
+        _sqrt(QS3, (7, 4))
 
 
 def test_extension_rejects_square_discriminant():

@@ -4,7 +4,7 @@ A fixed ladder of commands runs in-process under `sys.setprofile`, which sees
 the code object of every Python call.  An AST walk of the package then names
 each function definition whose code never ran.  A function that no command
 reaches is dead API: delete it, or reach it from a command, or give it an
-entry with a reason in ALLOWED.
+entry in ALLOWED that names the file outside the package that reads it.
 
 A second AST gate fails on any name a test or package module imports and
 never uses; a package module uses each name its `__all__` lists.
@@ -23,7 +23,8 @@ from matsuo.cli import EXIT_OK, main
 
 SRC = os.path.dirname(os.path.realpath(matsuo.__file__))
 TESTS = os.path.dirname(os.path.realpath(__file__))
-README = os.path.join(os.path.dirname(TESTS), "README.md")
+ROOT = os.path.dirname(TESTS)
+README = os.path.join(ROOT, "README.md")
 
 # each command is small; together they touch every path that has a command
 LADDER = [
@@ -37,13 +38,11 @@ LADDER = [
     ["verify", "all", "--group", "S3", "--type", "A2", "--trials", "1", "--field", "Q(sqrt:3)"],
 ]
 
-# qualified name pattern -> why it may stay without a command reaching it
+# qualified name pattern -> the file outside the package that reads it, so it may
+# stay without a command reaching it
 ALLOWED = {
-    "Eigendecomp.dims": "the public example in README",
-    "sqrt_in_field": "bench/traced.py reads it; the package asks `Field.sqrt_raw`",
-    "ZeroSumJordan.*": "the matrix model of M(S_n), for a `verify component` suite",
-    "symmetric_model_iso": "the matrix model of M(S_n), for a `verify component` suite",
-    "LinearEndo.commutator": "the Lie bracket on Der, for a `verify component` suite",
+    "Eigendecomp.dims": "README.md",  # the public example
+    "sqrt_in_field": "bench/traced.py",  # the package asks `Field.sqrt_raw`
 }
 
 
@@ -149,9 +148,16 @@ def test_package_modules_use_every_name_they_import():
 
 
 def test_allow_list_names_existing_functions():
+    """Each entry matches a function, and the file it names reads that function."""
     names = set(_definitions().values())
     stale = [p for p in ALLOWED if not any(fnmatchcase(n, p) for n in names)]
     assert not stale, f"allow-list entries that match no function: {stale}"
+    unread = []
+    for pattern, reader in ALLOWED.items():
+        with open(os.path.join(ROOT, reader)) as fh:
+            if pattern.rsplit(".", 1)[-1] not in fh.read():
+                unread.append(f"{pattern} ({reader})")
+    assert not unread, f"allow-list entries their named reader never mentions: {unread}"
 
 
 def test_readme_example_prints_what_its_comments_say(capsys):
