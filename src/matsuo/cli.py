@@ -17,16 +17,14 @@ descriptor error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import random
 import sys
 import time
 from fractions import Fraction
 
-# the other layers are imported by the commands that run them: where bytecode
-# is not cached, every module imported here is compiled on each start
+# the other layers are imported by the commands that run them, and `json`, `csv`
+# and `io` by the report formats that use them: where bytecode is not cached,
+# every module imported here is compiled on each start
 from . import __version__
 from .fields import DivisionByZero, Field, FieldError, parse_field
 from .fischer import space_of
@@ -149,8 +147,9 @@ def cmd_derive(args) -> tuple[dict, list[dict]]:
 
 def cmd_classify(args) -> tuple[dict, list[dict]]:
     """Near-solidity of every line, tested on the smallest line of each line orbit
-    and copied to the rest.  Each row's witness type is the representative's
-    first failure: not a theorem, but constant on orbits in every group tested."""
+    (under the point maps and the group's checked symmetries) and copied to the
+    rest.  Each row's witness type is the representative's first failure: not a
+    theorem, but constant on orbits in every group tested."""
     _field_and_eta(args)  # the report echoes both, so neither may be unreadable
     try:
         g = parse_group(args.group)
@@ -158,7 +157,7 @@ def cmd_classify(args) -> tuple[dict, list[dict]]:
         raise UsageError(str(e))
     fs = space_of(g)
     verdicts = [None] * len(fs.lines)
-    for orbit in fs.line_orbits():
+    for orbit in fs.line_orbits(g.symmetries):
         verdict = fs.is_near_solid(fs.lines[orbit[0]])
         for i in orbit:
             verdicts[i] = verdict
@@ -230,6 +229,9 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
 
 def _emit(args, report: dict, table: list[dict]) -> None:
     if args.csv:
+        import csv
+        import io
+
         buf = io.StringIO()
         if table:
             fields = list(dict.fromkeys(k for row in table for k in row))
@@ -239,6 +241,8 @@ def _emit(args, report: dict, table: list[dict]) -> None:
                 writer.writerow(row)
         text = buf.getvalue()
     elif args.json:
+        import json
+
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         lines = [f"{report['command']}: {'pass' if report['passed'] else 'FAIL'}"]

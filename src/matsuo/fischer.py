@@ -200,10 +200,14 @@ class FischerSpace:
                 return False, {"type": t, "points": sorted(comp)}
         return True, None
 
-    def line_orbits(self) -> list[list[int]]:
-        """Orbits of lines under the point maps, as sorted lists of indices into
-        `lines`; ValueError if a generator's map is not an automorphism."""
+    def line_orbits(self, extra=()) -> list[list[int]]:
+        """Orbits of lines under the point maps and the `extra` point permutations,
+        as sorted lists of indices into `lines`; ValueError if a generator's map is
+        not an automorphism.  The extra maps are used only if each passes
+        `preserves_third`, else the orbits are those of the point maps alone."""
         maps, line_id = self.point_maps(), [[-1] * self.n for _ in range(self.n)]
+        if all(map(self.preserves_third, extra)):
+            maps += extra
         for i, (x, y, z) in enumerate(self.lines):
             for p, q in ((x, y), (y, x), (x, z), (z, x), (y, z), (z, y)):
                 line_id[p][q] = i

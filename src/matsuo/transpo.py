@@ -19,6 +19,9 @@ class TranspoGroup(NamedTuple):
     points: tuple  # payloads
     conj: tuple  # conj[i][j] = index of points[i] ^ points[j]
     root_system: RootSystem | None = None
+    # point permutations expected to preserve the lines, beyond the maps x -> x^a;
+    # FischerSpace.line_orbits checks them before use
+    symmetries: tuple = ()
 
     @property
     def size(self) -> int:
@@ -81,7 +84,14 @@ def build_affine_weyl(rs: RootSystem) -> TranspoGroup:
 
 
 def build_moufang(n: int) -> TranspoGroup:
-    """3^n : 2, points identified with F_3^n, v^w = -v-w."""
+    """3^n : 2, points identified with F_3^n, v^w = -v-w.
+
+    Its Fischer space is AG(n, 3), so every linear map of F_3^n preserves the
+    lines.  For n >= 2 the symmetries are the coordinate cycle and the
+    transvection v -> v + v_2 e_1: they generate a group holding SL(n, 3),
+    which with the translations and -1 among the maps x -> x^a is transitive
+    on lines.
+    """
     if n < 1:
         raise ValueError("build_moufang needs n >= 1")
     table = [[0]]
@@ -89,7 +99,11 @@ def build_moufang(n: int) -> TranspoGroup:
         table = [[size * ((-d - e) % 3) + x for e in range(3) for x in row]
                  for d in range(3) for row in table]
     points = tuple(product(range(3), repeat=n))
-    return TranspoGroup(f"M3:{n}", "moufang", points, tuple(map(tuple, table)))
+    index = {v: i for i, v in enumerate(points)}
+    linear = (lambda v: (*v[1:], v[0]), lambda v: ((v[0] + v[1]) % 3, *v[1:]))
+    symmetries = tuple([index[f(v)] for v in points] for f in linear) if n >= 2 else ()
+    return TranspoGroup(f"M3:{n}", "moufang", points, tuple(map(tuple, table)),
+                        symmetries=symmetries)
 
 
 def parse_group(desc: str) -> TranspoGroup:

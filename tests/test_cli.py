@@ -352,6 +352,10 @@ CLASSIFY_GOLDEN = {
     ("3W:E8", "--csv"): "8b34c98d081a01f521355ecf3de2a7067f2df07322d683afc74ca9cdf412c211",
     ("M3:5", "--json"): "d3b59011fe0cf7ffb33fcef82f6e49bae8e0aab230f47b8be60d2d19d6ace90c",
     ("M3:5", "--csv"): "fc801a9bbf57c9a95b3cd55425af44de78273ddd7c3c55cd8e7fc13fe7da4c56",
+    # recorded while M3:n lines were still tested once per point-map orbit (4 for
+    # M3:2): the all-near-solid case of the family
+    ("M3:2", "--json"): "076ee5729983ab11df47026d61ef81f232742d5a70d164ad98d605686cc758d4",
+    ("M3:2", "--csv"): "50ba7a094126cb28cd31c7cad4835ab59635c8a565ee72a1a9d1ab31df67c8f4",
 }
 
 
@@ -456,10 +460,11 @@ LAYERS = {"matsuo.algebra", "matsuo.linalg", "matsuo.deriv", "matsuo.autos", "ma
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["classify-lines", "S4"], LAYERS | {"dataclasses"}),
-        (["build", "S4"], {"matsuo.deriv", "matsuo.autos", "matsuo.verify", "dataclasses"}),
-        (["derive", "S4"], {"matsuo.autos", "matsuo.verify"}),
-        (["verify", "fusion", "--group", "S3"], {"matsuo.autos"}),
+        (["classify-lines", "S4"], LAYERS | {"dataclasses", "json", "csv"}),
+        (["build", "S4"],
+         {"matsuo.deriv", "matsuo.autos", "matsuo.verify", "dataclasses", "json", "csv"}),
+        (["derive", "S4"], {"matsuo.autos", "matsuo.verify", "json", "csv"}),
+        (["verify", "fusion", "--group", "S3"], {"matsuo.autos", "json", "csv"}),
     ],
 )
 def test_each_command_imports_only_its_layers(argv, absent):

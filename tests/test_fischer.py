@@ -1,10 +1,13 @@
 """Fischer space geometry: closures, components, line orbits, near-solid lines."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from matsuo import cli
 from matsuo.algebra import MatsuoAlgebra
 from matsuo.fields import Rationals
 from matsuo.fischer import FischerSpace, space_of
@@ -367,6 +370,73 @@ def test_moufang_m3_4_has_forty_line_orbits():
     # G = 3^4:2 is much smaller than AGL(4,3), so the 1,080 lines split
     orbits = _space("M3:4").line_orbits()
     assert len(orbits) == 40 and sum(map(len, orbits)) == 1080
+
+
+MOUFANG = ("M3:1", "M3:2", "M3:3", "M3:4", "M3:5")
+
+
+@pytest.mark.parametrize("desc", MOUFANG)
+def test_moufang_symmetries_are_linear_collineations(desc):
+    """The symmetries are the coordinate cycle and the transvection
+    v -> v + v_2 e_1 (none for n = 1), and they preserve the third-point table."""
+    g = parse_group(desc)
+    fs, n = space_of(g), len(g.points[0])
+    index = {v: i for i, v in enumerate(g.points)}
+    cycle = [index[(*v[1:], v[0])] for v in g.points]
+    transvection = [index[((v[0] + v[1]) % 3, *v[1:])] for v in g.points] if n > 1 else None
+    assert list(g.symmetries) == ([cycle, transvection] if n > 1 else [])
+    assert all(map(fs.preserves_third, g.symmetries))
+
+
+@pytest.mark.parametrize("desc", MOUFANG[1:])
+def test_moufang_lines_form_one_orbit_under_the_symmetries(desc):
+    """With the translations and -1 among the point maps, the linear maps make
+    the group transitive on the lines of AG(n, 3)."""
+    g = parse_group(desc)
+    fs = space_of(g)
+    assert fs.line_orbits(g.symmetries) == [list(range(len(fs.lines)))]
+
+
+def _classify(capsys, desc, fmt="--csv"):
+    assert cli.main(["classify-lines", desc, fmt]) == cli.EXIT_OK
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("desc", MOUFANG[1:4])
+def test_moufang_table_matches_one_line_per_point_map_orbit(desc, capsys, monkeypatch):
+    """One line tested for all of AG(n, 3) gives the table of one line tested per
+    orbit of the point maps alone."""
+    table = _classify(capsys, desc)
+    line_orbits = FischerSpace.line_orbits
+    monkeypatch.setattr(FischerSpace, "line_orbits", lambda self, extra=(): line_orbits(self))
+    assert _classify(capsys, desc) == table
+
+
+def test_moufang_m3_3_table_matches_the_enumeration_on_every_line(capsys):
+    fs = _space("M3:3")
+    rows = list(csv.DictReader(io.StringIO(_classify(capsys, "M3:3"))))
+    assert [row["points"] for row in rows] == [" ".join(fs.labels[p] for p in l) for l in fs.lines]
+    for row, line in zip(rows, fs.lines):
+        ok, witness = _near_solid_by_enumeration(fs, line)
+        assert row["near_solid"] == str(ok), line
+        assert row["witness_type"] == (witness["type"] if witness else ""), line
+
+
+def test_a_tampered_symmetry_is_dropped(capsys, monkeypatch):
+    """A symmetry that fails `preserves_third` is not used: the orbits, and with
+    them the report bytes, are those of the point maps alone."""
+    g = parse_group("M3:3")
+    cycle, transvection = g.symmetries
+    tampered = list(cycle)
+    tampered[1], tampered[2] = tampered[2], tampered[1]
+    bad = g._replace(symmetries=(tampered, transvection))
+    fs = space_of(bad)
+    assert not fs.preserves_third(tampered) and fs.preserves_third(transvection)
+    assert fs.line_orbits(bad.symmetries) == fs.line_orbits()
+    assert len(fs.line_orbits()) == 13
+    reports = [_classify(capsys, "M3:3", fmt) for fmt in ("--json", "--csv")]
+    monkeypatch.setattr(cli, "parse_group", lambda desc: bad)
+    assert [_classify(capsys, "M3:3", fmt) for fmt in ("--json", "--csv")] == reports
 
 
 def _line_isomorphism(fs1, fs2):
