@@ -111,10 +111,16 @@ def cmd_build(args) -> tuple[dict, list[dict]]:
 
 def cmd_derive(args) -> tuple[dict, list[dict]]:
     from .algebra import BadEta
-    from .deriv import derivation_basis, require_eta_half, spans_agree, vanishing_report
+    from .deriv import (
+        LEIBNIZ_ROW_CAP, derivation_basis, require_eta_half, spans_agree, vanishing_report
+    )
 
     A = _build_algebra(args)
     systems = ("leibniz", "r") if args.system == "both" else (args.system,)
+    n = A.dim
+    if "leibniz" in systems and (bound := n * n * (n + 1) // 2) > LEIBNIZ_ROW_CAP:
+        cap = f"{LEIBNIZ_ROW_CAP:,}"
+        raise UsageError(f"{args.group} may have {bound:,} Leibniz rows, over {cap}; use --system r")
     if "r" in systems:
         try:
             require_eta_half(A)

@@ -5,17 +5,20 @@ eta), and the sparse relation system specific to eta = 1/2.  Unknowns are
 the coefficients d(a)_b, indexed column-major as a * dim + b (a the argument
 point, b the image coordinate).
 
-Over Q both systems are built once, as integer rows: the (R1)-(R7) rows are
-integral, and the Leibniz rows come from the structure constants with their
-denominators cleared.  Those rows are solved modulo the prime MODULUS, and
-the lifted basis is certified against the same rows in Python ints, with the
-solve over Q of the same rows as the fallback (see `_lifted_basis`).
-`satisfies_r_system` runs the same row check (`_orthogonal`) over every field.
+Both builders order their rows shortest first, as the eliminator feeds them,
+and name each unknown by one shared int.  The Leibniz rows are a list; the
+(R1)-(R7) rows are streamed afresh for each read, so they are never all held.
+Over Q both are integer rows (the Leibniz rows with the table's denominators
+cleared), solved modulo the prime MODULUS; the lifted basis is certified
+against the same rows in Python ints, with the solve over Q of the same rows
+as the fallback (see `_lifted_basis`).  `satisfies_r_system` runs the same
+row check (`_orthogonal`) over every field.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
@@ -23,6 +26,10 @@ from .fields import DivisionByZero, PrimeField, Rationals
 from .linalg import axpy, rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
+# The Leibniz builder makes at most n rows, one per coordinate, for each of the n(n+1)/2
+# pairs a <= b.  A row costs about 280 bytes (3W:D4, W:E7 and 3W:E6 over Q, by tracemalloc),
+# so the cap holds about 2.2 GB: above the bound for 3W:E7 (3.4 M), below 3W:E8's (23.4 M).
+LEIBNIZ_ROW_CAP = 8_000_000
 
 
 class LinearEndo:
@@ -81,23 +88,43 @@ def is_derivation(A: SparseAlgebra, d: LinearEndo) -> bool:
     return form.failing_pair(A.dim, residual) is None
 
 
+@lru_cache(maxsize=1)
+def _unknowns(n: int) -> list[list[int]]:
+    """u[a][b] is the unknown a * n + b: one int object each, shared by every row naming it."""
+    return [list(range(a * n, a * n + n)) for a in range(n)]
+
+
+class Rows:
+    """A re-iterable row source: each pass calls `make` afresh, so no pass holds the rows."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
+
+    def __len__(self):  # a counting pass
+        return sum(1 for _ in self._make())
+
+
 def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list[dict]:
-    """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule.
+    """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule, shortest first.
 
     `products` is the table read, A's by default.  Only the field's add, neg and
     is_zero are used, so a table of ints over Q gives integer rows.
     """
     F, n = A.field, A.dim
     add, neg, is_zero = F.add, F.neg, F.is_zero
+    u = _unknowns(n)
     # index[i][j] is the product of i and j: the table's own dict, or one shared empty one
     index = [[{}] * n for _ in range(n)]
     for (i, j), p in (A.products if products is None else products).items():
         index[i][j] = index[j][i] = p
     rows = []
     for a in range(n):
-        Pa, ua = index[a], range(a * n, a * n + n)
+        Pa, ua = index[a], u[a]
         for b in range(a, n):
-            Pb, ub = index[b], range(b * n, b * n + n)
+            Pb, ub = index[b], u[b]
             # byc[c] is coordinate c of d(a)b + a d(b) - d(ab), in the order c first occurs:
             #   sum_y (y*b)_c u[a,y] + sum_y (a*y)_c u[b,y] - sum_x (ab)_x u[x,c]
             # the two sums name disjoint unknowns unless a = b, where they coincide
@@ -115,19 +142,20 @@ def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list
             # -d(ab): u[x,c] is already present only for x in (a, b), at y = c
             for x, w in Pa[b].items():
                 w = neg(w)
-                for c, u in enumerate(range(x * n, x * n + n)):
+                for c, uxc in enumerate(u[x]):
                     row = byc[c]
-                    v = add(row[u], w) if u in row else w
+                    v = add(row[uxc], w) if uxc in row else w
                     if is_zero(v):
-                        del row[u]
+                        del row[uxc]
                     else:
-                        row[u] = v
+                        row[uxc] = v
             rows.extend(r for r in byc.values() if r)
+    rows.sort(key=len)  # stable, and in place: the eliminator feeds rows in the order given
     return rows
 
 
 def r_relations(fs):
-    """The seven relation families characterising derivations at eta = 1/2.
+    """The seven relation families characterising derivations at eta = 1/2, shortest first.
 
     Yields integer rows {unknown: coefficient}, each coefficient +-1 or 2,
     so nonzero in every odd characteristic.  No row names an unknown twice:
@@ -136,46 +164,62 @@ def r_relations(fs):
     occurs in (R7) rows only.  Each row is yielded once: (R2) at (a, b) and
     (a, b^a), (R4) at c and c^a^b, and (R6) at (a, b) and (b, a) are one row,
     kept where b < b^a, c < c^a^b and a < b, as a loop over all points meets it.
+
+    The order is the stable sort by length of (R1)-(R3), (R4), then (R5)-(R7)
+    for each (a, b) in turn, made without holding the rows: one pass per length
+    over the loops that hold it, (R4) before the (R7) rows of length 4.
     """
-    n = fs.n
-    third = fs.third  # symmetric, and -1 on the diagonal
-    nbrs = [sorted(adj) for adj in fs.adjacency]  # the loops walk these, not all n points
+    n, third, adj = fs.n, fs.third, fs.adjacency  # third: symmetric, and -1 on the diagonal
+    nbrs = [sorted(adj_a) for adj_a in adj]  # the loops walk these, not all n points
+    u = _unknowns(n)
 
-    for a, row_a in enumerate(third):
-        yield {a * n + a: 1}  # (R1)
-        for b, ba in enumerate(row_a):
-            if ba < 0 and b != a:
-                yield {a * n + b: 1}  # (R3)
-            elif b < ba:
-                yield {a * n + b: 1, a * n + ba: 1}  # (R2)
+    def r7(a, b):
+        return 2 + len(adj[b] - adj[a])
 
-    for a, row_a in enumerate(third):
+    def r1_to_r3():  # rows of length 1 and 2
+        for a, (row_a, ua) in enumerate(zip(third, u)):
+            yield {ua[a]: 1}  # (R1)
+            for b, ba in enumerate(row_a):
+                if ba < 0 and b != a:
+                    yield {ua[b]: 1}  # (R3)
+                elif b < ba:
+                    yield {ua[b]: 1, ua[ba]: 1}  # (R2)
+
+    def r5_to_r7(length):  # rows of length 3, or the (R7) rows of `length`
+        for a, (row_a, ua) in enumerate(zip(third, u)):
+            for b in nbrs[a]:
+                ab, row_b, ub, uab = row_a[b], third[b], u[b], u[row_a[b]]
+                if length == 3:
+                    # (R5): d(a^b)_e = d(a)_e + d(b)_{e^a} for a noncommuting with b, e and b perp e
+                    for e in nbrs[a]:
+                        if e != b and row_b[e] < 0:
+                            yield {uab[e]: 1, ua[e]: -1, ub[row_a[e]]: -1}
+                    # (R6): e noncommuting with a, b and a^b
+                    if a < b:
+                        for e in nbrs[a]:
+                            if row_b[e] >= 0 and third[ab][e] >= 0:
+                                yield {uab[e]: 1, ua[row_b[e]]: -1, ub[row_a[e]]: -1}
+                # (R7): 2 d(b)_a + d(a)_b + d(a^b)_a - sum_{a perp e, b noncommuting e} d(b)_e,
+                # of length r7(a, b): one term for each e in adj b - adj a but a
+                if r7(a, b) == length:
+                    row = {ub[a]: 2, ua[b]: 1, uab[a]: 1}
+                    for e in nbrs[b]:
+                        if e != a and row_a[e] < 0:  # e commutes with a, e != a
+                            row[ub[e]] = -1
+                    yield row
+
+    yield from (row for length in (1, 2) for row in r1_to_r3() if len(row) == length)
+    yield from r5_to_r7(3)
+    for a, (row_a, ua) in enumerate(zip(third, u)):  # (R4), of length 4
         for b in range(a + 1, n):
             if row_a[b] >= 0:
                 continue
-            row_b = third[b]  # (R4): a perp b, c a common neighbour
+            row_b, ub = third[b], u[b]  # a perp b, c a common neighbour
             for c in nbrs[a]:
                 if row_b[c] >= 0 and c < (cab := row_b[row_a[c]]):
-                    yield {a * n + c: 1, b * n + c: 1, a * n + cab: 1, b * n + cab: 1}
-
-    for a, row_a in enumerate(third):
-        for b in nbrs[a]:
-            ab, row_b = row_a[b], third[b]
-            # (R5): d(a^b)_e = d(a)_e + d(b)_{e^a} for a noncommuting with b, e and b perp e
-            for e in nbrs[a]:
-                if e != b and row_b[e] < 0:
-                    yield {ab * n + e: 1, a * n + e: -1, b * n + row_a[e]: -1}
-            # (R6): e noncommuting with a, b and a^b
-            if a < b:
-                for e in nbrs[a]:
-                    if row_b[e] >= 0 and third[ab][e] >= 0:
-                        yield {ab * n + e: 1, a * n + row_b[e]: -1, b * n + row_a[e]: -1}
-            # (R7): 2 d(b)_a + d(a)_b + d(a^b)_a - sum_{a perp e, b noncommuting e} d(b)_e
-            row = {b * n + a: 2, a * n + b: 1, ab * n + a: 1}
-            for e in nbrs[b]:
-                if e != a and row_a[e] < 0:  # e commutes with a, e != a
-                    row[b * n + e] = -1
-            yield row
+                    yield {ua[c]: 1, ub[c]: 1, ua[cab]: 1, ub[cab]: 1}
+    for length in sorted({r7(a, b) for a in range(n) for b in adj[a]} - {3}):
+        yield from r5_to_r7(length)
 
 
 def require_eta_half(A: MatsuoAlgebra) -> None:
@@ -185,19 +229,19 @@ def require_eta_half(A: MatsuoAlgebra) -> None:
         raise BadEta("the relation system is specific to eta = 1/2")
 
 
-def build_r_system(A: MatsuoAlgebra) -> list[dict]:
-    """The rows of `r_relations` over the field of A; over Q and F_p they stay integer rows."""
+def build_r_system(A: MatsuoAlgebra) -> Rows:
+    """The `r_relations` rows over the field of A, streamed; integer rows over Q and F_p."""
     require_eta_half(A)
     if isinstance(A.field, (Rationals, PrimeField)):
-        return list(r_relations(A.fs))
+        return Rows(lambda: r_relations(A.fs))
     coerce = A.field.coerce
-    return [{u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs)]
+    return Rows(lambda: ({u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs)))
 
 
-def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo, rows=None) -> bool:
-    """Whether d satisfies (R1)-(R7); over Q or F_p, `rows` may hold `build_r_system(A)`."""
+def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo) -> bool:
+    """Whether d satisfies (R1)-(R7)."""
     require_eta_half(A)
-    return _orthogonal(r_relations(A.fs) if rows is None else rows, [d.to_vector()], A.field)
+    return _orthogonal(r_relations(A.fs), [d.to_vector()], A.field)
 
 
 def _orthogonal(rows, vectors: list[dict], field) -> bool:
@@ -226,8 +270,8 @@ def nullspace_endos(A: MatsuoAlgebra, rows) -> list[LinearEndo]:
     return [LinearEndo.from_vector(n, v) for v in vecs]
 
 
-def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
-    """The Leibniz or the (R1)-(R7) rows of A; over Q, integer rows."""
+def _build_system(A: MatsuoAlgebra, system: str):
+    """The Leibniz rows of A, or its (R1)-(R7) `Rows`; over Q, integer rows."""
     if system == "r":
         return build_r_system(A)
     if isinstance(A.field, Rationals):  # the table times the lcm of its denominators
@@ -235,13 +279,11 @@ def _build_system(A: MatsuoAlgebra, system: str) -> list[dict]:
     return build_leibniz_system(A)
 
 
-def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz", rows=None) -> list[LinearEndo]:
-    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms; `rows`
-    may hold `_build_system(A, system)` built once, such as `build_r_system(A)`."""
+def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
+    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms."""
     if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
-    if rows is None:
-        rows = _build_system(A, system)
+    rows = _build_system(A, system)
     if isinstance(A.field, Rationals):
         basis = _lifted_basis(A, rows)
         if basis is not None:
@@ -249,12 +291,13 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz", rows=None) -> li
     return nullspace_endos(A, rows)
 
 
-def _lifted_basis(A: MatsuoAlgebra, rows: list[dict]) -> list[LinearEndo] | None:
+def _lifted_basis(A: MatsuoAlgebra, rows) -> list[LinearEndo] | None:
     """The nullspace over Q of `rows`, found modulo MODULUS and checked exactly, or None.
 
-    `rows` are the integer rows of `_build_system`, which the caller built once
-    and solves over Q itself when this returns None.  They are solved over F_p
-    as they stand: the eliminator reads unreduced integers.  The nullspace is
+    `rows` are the integer rows of `_build_system`, which the caller solves over
+    Q itself when this returns None; the solve and the check each read them
+    afresh.  They are solved over F_p as they stand: the eliminator reads
+    unreduced integers.  The nullspace is
     lifted entrywise by rational reconstruction.  The k lifted vectors are
     independent, as each is 1 on its own free column and 0 on the others.  If
     each is orthogonal to every integer row (`_orthogonal`), they span the

@@ -4,7 +4,8 @@ Rows and vectors are dicts {column: raw field value}, and `axpy` is the one
 routine that adds a multiple of one into another and drops what cancels.
 The eliminator keeps each pivot in solved form: `solved[p]` writes x_p as a
 combination of free columns only, which keeps the solutions short whenever
-the solution space is small; rows are fed shortest-first to limit fill-in.
+the solution space is small.  Rows are fed in the order given, and read once:
+the builders order them shortest first to limit fill-in, and may stream them.
 
 `Echelon.reduce` is one pass over the row: an entry on a free column is added
 into the residual, an entry on a pivot column adds its coefficient times that
@@ -147,9 +148,9 @@ class Echelon:
 
 
 def _echelon(rows, field: Field, ncols: int | None = None) -> Echelon:
-    """The solved form of the span of rows, fed shortest-first until all `ncols` are pivots."""
+    """The solved form of the span of rows, fed in the order given until all `ncols` are pivots."""
     ech = Echelon(field)
-    for row in sorted(rows, key=len):
+    for row in rows:
         if ech.insert(row) and ech.rank == ncols:
             break
     return ech

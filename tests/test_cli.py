@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,16 @@ def test_bad_inputs_give_one_line_and_exit_2(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("system", ["both", "leibniz"])
+def test_derive_refuses_the_leibniz_rows_of_3w_e8(capsys, system):
+    """23.4 M Leibniz rows at most would not fit: exit 2, naming --system r, in seconds."""
+    t0 = time.perf_counter()
+    code, out, err = run(["derive", "3W:E8", "--system", system], capsys)
+    assert time.perf_counter() - t0 < 10
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and "23,392,800" in err and "--system r" in err
 
 
 GROUPS = ["S2", "S3", "S4", "W:A2", "3W:A1", "M3:1", "M3:2", "S1", "S", "W:X2", "3W:E9", "M3:x", "NOPE"]

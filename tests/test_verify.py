@@ -55,17 +55,28 @@ def test_fusion_and_derivations_agree_over_q_and_q_sqrt3(desc, every_axis_fusion
 
 
 @pytest.mark.parametrize("field", [QS3, F7], ids=repr)
-def test_equivalence_builds_the_r_rows_once_per_group(monkeypatch, field):
-    """One `r_relations` pass per group serves the solve and the random-map checks."""
-    passes, r_relations = [], deriv.r_relations
-    for module in (deriv, verify):  # wherever the name is bound
-        monkeypatch.setattr(
-            module, "r_relations", lambda fs: passes.append(fs) or r_relations(fs), raising=False
-        )
+def test_equivalence_never_holds_the_r_rows(monkeypatch, field):
+    """The solve, the certificate and each random-map check stream the (R1)-(R7) rows
+    afresh: at most two of them are alive at once, over several passes per group."""
+    passes, alive, r_relations = [], [0, 0], deriv.r_relations  # alive: now, most
+
+    class Row(dict):
+        def __del__(self):
+            alive[0] -= 1
+
+    def tracked(fs):
+        passes.append(fs)
+        for row in r_relations(fs):
+            alive[0] += 1
+            alive[1] = max(alive)
+            yield Row(row)
+
+    monkeypatch.setattr(deriv, "r_relations", tracked)
     groups = ["S4", "3W:A2", "M3:3"]
     ledger = verify.run("equivalence", field, groups, [], random.Random(0), 3)
     assert [e["passed"] for e in ledger] == [True] * len(groups)
-    assert len(passes) == len(groups)
+    assert len(passes) >= 4 * len(groups)  # the solve and three random maps each
+    assert alive[0] == 0 and alive[1] <= 2  # the row read and the one being made
 
 
 @pytest.mark.parametrize("t", ["A2", "A3"])
