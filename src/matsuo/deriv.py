@@ -8,11 +8,13 @@ point, b the image coordinate).
 Both builders order their rows shortest first, as the eliminator feeds them,
 and name each unknown by one shared int.  The Leibniz rows are a list; the
 (R1)-(R7) rows are streamed afresh for each read, so they are never all held.
-Over Q both are integer rows (the Leibniz rows with the table's denominators
-cleared), solved modulo the prime MODULUS; the lifted basis is certified
-against the same rows in Python ints, with the solve over Q of the same rows
-as the fallback (see `_lifted_basis`).  `satisfies_r_system` runs the same
-row check (`_orthogonal`) over every field.
+Over every field both are integer rows with entries in the prime field k (over
+Q the Leibniz rows have the table's denominators cleared), solved over k; over
+k(sqrt d) only the basis is coerced into k(sqrt d).  Over Q they are solved
+modulo the prime MODULUS; the lifted basis is certified against the same rows
+in Python ints, with the solve over Q of the same rows as the fallback (see
+`_lifted_basis`).  `satisfies_r_system` runs the same row check (`_orthogonal`)
+over every field.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
-from .fields import DivisionByZero, PrimeField, Rationals
+from .fields import DivisionByZero, PrimeField, Rationals, base_field
 from .linalg import axpy, rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
@@ -107,19 +109,24 @@ class Rows:
         return sum(1 for _ in self._make())
 
 
-def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list[dict]:
+def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
     """Linear constraints on the unknowns d(a)_b equivalent to the Leibniz rule, shortest first.
 
-    `products` is the table read, A's by default.  Only the field's add, neg and
-    is_zero are used, so a table of ints over Q gives integer rows.
+    Integer rows over every field, read off A's own table: its residues over F_p,
+    the rational parts of `A.integer_table` over Q and k(sqrt d).  Over F_p and
+    F_p(sqrt d) each entry is a reduced residue.  BadEta if a product is outside k.
     """
-    F, n = A.field, A.dim
-    add, neg, is_zero = F.add, F.neg, F.is_zero
+    n, p = A.dim, A.field.characteristic
     u = _unknowns(n)
-    # index[i][j] is the product of i and j: the table's own dict, or one shared empty one
+    # index[i][j] is the product of i and j, in ints, or one shared empty dict
     index = [[{}] * n for _ in range(n)]
-    for (i, j), p in (A.products if products is None else products).items():
-        index[i][j] = index[j][i] = p
+    residues = isinstance(A.field, PrimeField)  # then an integer copy would cost memory
+    for (i, j), prod in (A.products if residues else A.integer_table[1]).items():
+        if not residues:
+            prod, sqrt_part = prod
+            if sqrt_part:
+                raise BadEta(f"a product lies outside {base_field(A.field)}, where Der is solved")
+        index[i][j] = index[j][i] = prod
     rows = []
     for a in range(n):
         Pa, ua = index[a], u[a]
@@ -132,7 +139,7 @@ def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list
             if a == b:
                 for uay, pyb in zip(ua, Pb):
                     for c, v in pyb.items():
-                        byc[c][uay] = add(v, v)
+                        byc[c][uay] = (v + v) % p if p else v + v
             else:
                 for uay, uby, pyb, pay in zip(ua, ub, Pb, Pa):
                     for c, v in pyb.items():
@@ -141,14 +148,15 @@ def build_leibniz_system(A: SparseAlgebra, products: dict | None = None) -> list
                         byc[c][uby] = v
             # -d(ab): u[x,c] is already present only for x in (a, b), at y = c
             for x, w in Pa[b].items():
-                w = neg(w)
+                w = -w % p if p else -w
                 for c, uxc in enumerate(u[x]):
                     row = byc[c]
-                    v = add(row[uxc], w) if uxc in row else w
-                    if is_zero(v):
-                        del row[uxc]
-                    else:
+                    if uxc not in row:
+                        row[uxc] = w
+                    elif v := (row[uxc] + w) % p if p else row[uxc] + w:
                         row[uxc] = v
+                    else:
+                        del row[uxc]
             rows.extend(r for r in byc.values() if r)
     rows.sort(key=len)  # stable, and in place: the eliminator feeds rows in the order given
     return rows
@@ -230,12 +238,9 @@ def require_eta_half(A: MatsuoAlgebra) -> None:
 
 
 def build_r_system(A: MatsuoAlgebra) -> Rows:
-    """The `r_relations` rows over the field of A, streamed; integer rows over Q and F_p."""
+    """The `r_relations` rows, streamed: integer rows over every field."""
     require_eta_half(A)
-    if isinstance(A.field, (Rationals, PrimeField)):
-        return Rows(lambda: r_relations(A.fs))
-    coerce = A.field.coerce
-    return Rows(lambda: ({u: coerce(v) for u, v in row.items()} for row in r_relations(A.fs)))
+    return Rows(lambda: r_relations(A.fs))
 
 
 def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo) -> bool:
@@ -264,62 +269,47 @@ def _orthogonal(rows, vectors: list[dict], field) -> bool:
     return True
 
 
-def nullspace_endos(A: MatsuoAlgebra, rows) -> list[LinearEndo]:
-    n = A.dim
-    vecs = linalg.nullspace(rows, n * n, A.field)
-    return [LinearEndo.from_vector(n, v) for v in vecs]
-
-
-def _build_system(A: MatsuoAlgebra, system: str):
-    """The Leibniz rows of A, or its (R1)-(R7) `Rows`; over Q, integer rows."""
-    if system == "r":
-        return build_r_system(A)
-    if isinstance(A.field, Rationals):  # the table times the lcm of its denominators
-        return build_leibniz_system(A, {ij: r for ij, (r, _) in A.integer_table[1].items()})
-    return build_leibniz_system(A)
-
-
 def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
-    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms."""
+    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms, solved over
+    the prime field k; over k(sqrt d) the basis over k is coerced (see `base_field`)."""
     if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
-    rows = _build_system(A, system)
-    if isinstance(A.field, Rationals):
-        basis = _lifted_basis(A, rows)
-        if basis is not None:
-            return basis
-    return nullspace_endos(A, rows)
+    rows = build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
+    F, n, k = A.field, A.dim, base_field(A.field)
+    basis = _lifted_basis(A, rows) if isinstance(k, Rationals) else None
+    if basis is None:
+        basis = linalg.nullspace(rows, n * n, k)
+    if k != F:
+        basis = [{u: F.coerce(v) for u, v in x.items()} for x in basis]
+    return [LinearEndo.from_vector(n, x) for x in basis]
 
 
-def _lifted_basis(A: MatsuoAlgebra, rows) -> list[LinearEndo] | None:
+def _lifted_basis(A: MatsuoAlgebra, rows) -> list[dict] | None:
     """The nullspace over Q of `rows`, found modulo MODULUS and checked exactly, or None.
 
-    `rows` are the integer rows of `_build_system`, which the caller solves over
-    Q itself when this returns None; the solve and the check each read them
+    `rows` are the integer rows of a builder, which the caller solves over Q
+    itself when this returns None; the solve and the check each read them
     afresh.  They are solved over F_p as they stand: the eliminator reads
-    unreduced integers.  The nullspace is
-    lifted entrywise by rational reconstruction.  The k lifted vectors are
-    independent, as each is 1 on its own free column and 0 on the others.  If
-    each is orthogonal to every integer row (`_orthogonal`), they span the
-    nullspace over Q, since rank_p <= rank_Q bounds nullity_Q by k.
+    unreduced integers.  The nullspace is lifted entrywise by rational
+    reconstruction.  The k lifted vectors are independent, as each is 1 on its
+    own free column and 0 on the others.  If each is orthogonal to every integer
+    row (`_orthogonal`), they span the nullspace over Q, since rank_p <= rank_Q
+    bounds nullity_Q by k.
     """
-    Fp = PrimeField(MODULUS)
+    Q, Fp = base_field(A.field), PrimeField(MODULUS)
     try:
-        eta = Fp.coerce(A.eta)
+        eta = Fp.coerce(A.eta if A.field == Q else A.eta[0])  # eta is (eta, 0) over Q(sqrt d)
     except DivisionByZero:  # p divides the denominator of eta
         return None
     if eta in (0, 1):  # the reduction mod p is no Matsuo algebra
         return None
-    n = A.dim
     basis = []
-    for vec in linalg.nullspace(rows, n * n, Fp):
+    for vec in linalg.nullspace(rows, A.dim * A.dim, Fp):
         lifted = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
         if None in lifted.values():
             return None
         basis.append(lifted)
-    if not _orthogonal(rows, basis, A.field):
-        return None
-    return [LinearEndo.from_vector(n, x) for x in basis]
+    return basis if _orthogonal(rows, basis, Q) else None
 
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:

@@ -310,6 +310,13 @@ class QuadraticExtension(Field):
         return f"{self.base}(sqrt{self.base.format(self.d)})"
 
 
+def base_field(field: Field) -> Field:
+    """k when `field` is K = k(sqrt d), else `field`: where data with entries in k are
+    computed.  Rank does not change under a field extension, so a k-basis of the
+    nullspace of a system over k is a K-basis of it."""
+    return field.base if isinstance(field, QuadraticExtension) else field
+
+
 def sqrt_in_field(field: Field, d) -> FieldElement | None:
     """A square root of d in the field, or None if d is not a square there."""
     raw = field.sqrt_raw(field.coerce(d))

@@ -4,6 +4,11 @@ Each suite checks one group (fusion, equivalence) or one root type (model,
 torus, section) and returns `(passed, detail)`.  `run` builds the ledger; a
 check that raises an algebra, automorphism or field error fails with detail
 `{"error": message}`.
+
+Over K = k(sqrt d), fusion, equivalence and section build the algebra over k
+(`base_field`): fusion and the derivation nullity are rank conditions, and the
+random maps and root automorphisms have integer entries, so each verdict over
+k is the verdict over K.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, AutosError, MatsuoAlgebra
 from .deriv import LinearEndo, derivation_basis, is_derivation, satisfies_r_system, spans_agree
-from .fields import DivisionByZero, Field, FieldError, QuadraticExtension
+from .fields import DivisionByZero, Field, FieldError, base_field
 from .fischer import space_of
 from .roots import RootSystem, parse_root_system
 from .transpo import parse_group
@@ -22,18 +27,6 @@ from .transpo import parse_group
 def _algebra(desc: str, field: Field) -> MatsuoAlgebra:
     """The Matsuo algebra of a group descriptor at eta = 1/2."""
     return MatsuoAlgebra(space_of(parse_group(desc)), field.coerce(Fraction(1, 2)), field)
-
-
-def _base_algebra(desc: str, field: Field) -> MatsuoAlgebra:
-    """The algebra over k when `field` is K = k(sqrt d), else over `field`.
-
-    L_a and its eigenvalues 1, 0, 1/2 are defined over k, so each eigenspace over
-    K is the k-eigenspace tensored up to K.  Fusion containment and the derivation
-    nullity are rank conditions, and rank does not change under a field extension.
-    The random maps of `equivalence` have integer entries and root automorphisms
-    are 0/1 permutation matrices, so each verdict over k is the verdict over K.
-    """
-    return _algebra(desc, field.base if isinstance(field, QuadraticExtension) else field)
 
 
 def _param(field: Field, rng: random.Random, nontrivial: bool = False):
@@ -68,7 +61,7 @@ def fusion(field: Field, desc: str, rng, trials) -> tuple[bool, list]:
     which are automorphisms when `products` is the table of `third` and each map
     used preserves `third`; a failing orbit, or every axis without those checks,
     is checked at every axis.  The detail lists the first three violations."""
-    A = _base_algebra(desc, field)
+    A = _algebra(desc, base_field(field))
     orbits = A.is_matsuo_table() and A.fs.point_orbits() or [[a] for a in range(A.dim)]
     bad = []
     for orbit in orbits:
@@ -82,7 +75,7 @@ def fusion(field: Field, desc: str, rng, trials) -> tuple[bool, list]:
 
 def equivalence(field: Field, desc: str, rng: random.Random, trials: int) -> tuple[bool, dict]:
     """Leibniz and (R1)-(R7) agree on the derivation space and on `trials` random maps."""
-    A = _base_algebra(desc, field)
+    A = _algebra(desc, base_field(field))
     F = A.field
     b1 = derivation_basis(A, system="leibniz")
     b2 = derivation_basis(A, system="r")
@@ -137,7 +130,7 @@ def section(field: Field, t: str, rng: random.Random, trials) -> tuple[bool, dic
     from . import autos
 
     rs = parse_root_system(t)
-    M = _base_algebra(f"3W:{t}", field)
+    M = _algebra(f"3W:{t}", base_field(field))
     for s in rs.simple_roots():
         autos.root_automorphism(M, autos.weyl_reflection_matrix(rs, s))
     detail = {"weyl_reflections": rs.rank}

@@ -319,12 +319,21 @@ DERIVE_GOLDEN = {
     # recorded while derive still solved the rational rows over the extension field
     ("3W:A2", "Q(sqrt:3)"): "6db64064601b2e7ce3a7eb4f2bff41b480eb50db2dc6c8320e57ab39b9c93f5e",
     ("3W:A3", "F13(sqrt:2)"): "db5ac175370b0b7e4174edd5e1cdb6ae3b793d873c2c22f993f48785e85b083e",
+    # recorded the same way; a field followed by more options is split into argv
+    ("S5", "F5(sqrt:2)"): "b7b5a7ecda6f288ede55ee7bccc82d6942a8c1d75cfed264c72c849a6dffaf05",
+    ("3W:D4", "Q(sqrt:3)"): "93eee2e39affa33e2d29b2d2a2987f5bb39a7087e72ed481708a6a0d22e6a260",
+    ("M3:2", "F7(sqrt:3) --system r"): (
+        "3afb212c8b4743d7dc13536b61f2d4fc22cf72e9af656a2034b112040092bff9"
+    ),
+    ("S4", "Q(sqrt:-1) --eta 1/3 --system leibniz"): (
+        "89d52856855ea738246aacfc660a0ca0947247e9c0d0f2acc2f538a148bf4a92"
+    ),
 }
 
 
 @pytest.mark.parametrize("group,field", sorted(DERIVE_GOLDEN))
 def test_derive_report_bytes_are_pinned(capsys, group, field):
-    code, out, _ = run(["derive", group, "--field", field, "--json"], capsys)
+    code, out, _ = run(["derive", group, "--field", *field.split(), "--json"], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_GOLDEN[(group, field)]
 

@@ -10,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from matsuo import deriv, linalg
 from matsuo.algebra import BadEta, IntegerForm, MatsuoAlgebra
+from matsuo.cli import EXIT_OK, main
 from matsuo.deriv import (
     MODULUS,
     LinearEndo,
@@ -17,12 +18,11 @@ from matsuo.deriv import (
     build_r_system,
     derivation_basis,
     is_derivation,
-    nullspace_endos,
     satisfies_r_system,
     spans_agree,
     vanishing_report,
 )
-from matsuo.fields import PrimeField, Rationals, parse_field
+from matsuo.fields import PrimeField, QuadraticExtension, Rationals, base_field, parse_field
 from matsuo.fischer import space_of
 from matsuo.linalg import axpy, rank, rational_lift
 from matsuo.transpo import CATALOG, parse_group
@@ -30,6 +30,7 @@ from matsuo.transpo import CATALOG, parse_group
 Q = Rationals()
 F7 = PrimeField(7)
 QS3 = parse_field("Q(sqrt:3)")
+F7S3 = parse_field("F7(sqrt:3)")
 HALF = Fraction(1, 2)
 
 # derivation dimensions established by two independent systems plus the
@@ -90,6 +91,16 @@ def r_relations(fs):
 
 def _items(rows):
     return [list(row.items()) for row in rows]
+
+
+def _rows(A, system):
+    return build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
+
+
+def _endos(A, rows):
+    """The nullspace of `rows` over the field of A, solved there, as endomorphisms."""
+    n = A.dim
+    return [LinearEndo.from_vector(n, v) for v in linalg.nullspace(rows, n * n, A.field)]
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -299,8 +310,8 @@ def test_r7_redundancy_rank_report():
         rows = build_r_system(A)
         without_r7 = [row for row in rows if two not in row.values()]
         assert len(without_r7) < len(rows)
-        dim_full = len(nullspace_endos(A, rows))
-        dim_no_r7 = len(nullspace_endos(A, without_r7))
+        dim_full = len(_endos(A, rows))
+        dim_no_r7 = len(_endos(A, without_r7))
         assert dim_full == DIMS[desc]
         assert dim_no_r7 >= dim_full  # dropping constraints can only grow it
 
@@ -310,8 +321,7 @@ def _entries(basis):
 
 
 def _exact(A, system):
-    build = build_leibniz_system if system == "leibniz" else build_r_system
-    return nullspace_endos(A, build(A))
+    return _endos(A, _rows(A, system))
 
 
 @pytest.mark.parametrize("system", ["leibniz", "r"])
@@ -319,7 +329,7 @@ def _exact(A, system):
 def test_lifted_basis_equals_exact_solve_over_q(desc, system):
     A = _alg(desc)
     # the modular route answered
-    assert deriv._lifted_basis(A, deriv._build_system(A, system)) is not None
+    assert deriv._lifted_basis(A, _rows(A, system)) is not None
     assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
 
 
@@ -329,7 +339,7 @@ def test_lifted_basis_equals_exact_solve_over_q(desc, system):
 @pytest.mark.parametrize("desc", ["S4", "S5", "W:A3", "3W:A2", "M3:2"])
 def test_lifted_leibniz_basis_at_other_eta(desc, eta):
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
-    assert deriv._lifted_basis(A, deriv._build_system(A, "leibniz")) is not None
+    assert deriv._lifted_basis(A, _rows(A, "leibniz")) is not None
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
@@ -337,7 +347,7 @@ def test_lifted_leibniz_basis_at_other_eta(desc, eta):
 def test_eta_without_image_mod_p_falls_back(eta):
     # 2^61 is 1 mod p, and p divides the denominator of 1/p
     A = MatsuoAlgebra(space_of(parse_group("S4")), eta, Q)
-    assert deriv._lifted_basis(A, deriv._build_system(A, "leibniz")) is None
+    assert deriv._lifted_basis(A, _rows(A, "leibniz")) is None
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
@@ -375,7 +385,7 @@ def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
     A = _alg("S4")  # dim 3, with entries such as -7/6
     exact = _exact(A, system)
     monkeypatch.setattr(deriv, "rational_lift", lift)
-    assert deriv._lifted_basis(A, deriv._build_system(A, system)) is None
+    assert deriv._lifted_basis(A, _rows(A, system)) is None
     assert _entries(derivation_basis(A, system)) == _entries(exact)
 
 
@@ -400,11 +410,11 @@ def test_certificate_rejects_one_wrong_entry_in_any_vector(monkeypatch, system):
     A = _alg("3W:A2")
     count = _WrongAt(-1)
     monkeypatch.setattr(deriv, "rational_lift", count)
-    assert len(deriv._lifted_basis(A, deriv._build_system(A, system))) == 8
+    assert len(deriv._lifted_basis(A, _rows(A, system))) == 8
     assert count.calls > 8
     for k in range(count.calls):
         monkeypatch.setattr(deriv, "rational_lift", _WrongAt(k))
-        assert deriv._lifted_basis(A, deriv._build_system(A, system)) is None, k
+        assert deriv._lifted_basis(A, _rows(A, system)) is None, k
 
 
 def _naive_leibniz_rows(A):
@@ -432,15 +442,25 @@ def _row_multiset(rows):
 
 
 @pytest.mark.parametrize(
-    "field,eta",
-    [(PrimeField(13), HALF), (parse_field("F7(sqrt:3)"), (1, 1)), (Q, Fraction(7, 10))],
-    ids=["F13", "F7(sqrt:3)", "Q"],
+    "field,eta", [(PrimeField(13), HALF), (Q, Fraction(7, 10))], ids=["F13", "Q"]
 )
 @pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:2"])
 def test_leibniz_builder_matches_naive_expansion(desc, field, eta):
+    # over Q the rows are the naive rows times the scale of the integer table
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, field)
-    rows = build_leibniz_system(A)
-    assert _row_multiset(rows) == _row_multiset(_naive_leibniz_rows(A))
+    scale = A.integer_table[0]
+    naive = [{u: scale * v for u, v in row.items()} for row in _naive_leibniz_rows(A)]
+    assert _row_multiset(build_leibniz_system(A)) == _row_multiset(naive)
+
+
+@pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:2"])
+def test_leibniz_rows_refuse_a_table_outside_the_prime_field(desc):
+    # at eta = 1 + sqrt 3 the products hold sqrt 3, so no row has entries in F_7
+    A = MatsuoAlgebra(space_of(parse_group(desc)), (1, 1), F7S3)
+    with pytest.raises(BadEta, match="outside F7"):
+        build_leibniz_system(A)
+    with pytest.raises(BadEta):
+        derivation_basis(A)
 
 
 @pytest.mark.parametrize(
@@ -449,17 +469,19 @@ def test_leibniz_builder_matches_naive_expansion(desc, field, eta):
 def test_integer_leibniz_rows_are_scaled_rows_over_q(eta, scale):
     # the table holds 1 and +-eta/2, so the scale is the denominator of eta/2
     A = MatsuoAlgebra(space_of(parse_group("3W:A2")), eta, Q)
-    form = IntegerForm(Q, A.products.values())
-    assert form.scale == scale
-    rows = build_leibniz_system(A, {ij: r for ij, (r, _) in form.table(A.products).items()})
-    assert rows == deriv._build_system(A, "leibniz")
+    assert IntegerForm(Q, A.products.values()).scale == A.integer_table[0] == scale
+    rows = build_leibniz_system(A)
     assert all(type(v) is int for row in rows for v in row.values())
-    assert rows == [{u: scale * v for u, v in row.items()} for row in build_leibniz_system(A)]
+    oracle = sorted(_generic_leibniz_rows(Q, A.dim, A.products), key=len)  # Fraction rows
+    assert rows == [{u: scale * v for u, v in row.items()} for row in oracle]
 
 
-@pytest.mark.parametrize("field", [Q, PrimeField(13), PrimeField(MODULUS)], ids=repr)
+@pytest.mark.parametrize(
+    "field", [Q, PrimeField(13), PrimeField(MODULUS), QS3, F7S3], ids=repr
+)
 def test_r_system_is_integer_rows(field):
-    # the eliminator reads unreduced integer rows over F_p too, so -1 stays -1
+    # the eliminator reads unreduced integer rows over F_p too, so -1 stays -1;
+    # over k(sqrt d) the rows are solved over k, so they are not coerced either
     A = _alg("S4", field)
     rows = list(build_r_system(A))
     assert rows == sorted(r_relations(A.fs), key=len)
@@ -477,18 +499,11 @@ def test_r_source_streams_the_stable_sort_of_the_loops(desc):
     assert _items(source) == _items(oracle)
 
 
-def test_r_source_coerces_each_row_over_an_extension():
-    for desc in ("S4", "3W:A2"):
-        A = _alg(desc, QS3)
-        coerced = [{u: QS3.coerce(v) for u, v in row.items()} for row in r_relations(A.fs)]
-        assert _items(build_r_system(A)) == _items(sorted(coerced, key=len))
-
-
 def test_builders_share_one_int_per_unknown():
     """On 3W:D4 the 103,644 Leibniz entries and every (R1)-(R7) entry name at most
     n^2 distinct key objects (the keys are held, so no id is reused)."""
     A = _alg("3W:D4")
-    leibniz = deriv._build_system(A, "leibniz")
+    leibniz = build_leibniz_system(A)
     keys = [u for row in leibniz for u in row] + [u for row in build_r_system(A) for u in row]
     assert sum(len(row) for row in leibniz) == 103644
     assert len({id(u) for u in keys}) <= A.dim * A.dim
@@ -567,9 +582,8 @@ def test_r_relations_yield_each_brute_force_row_once(desc):
     assert [list(row.items()) for row in rows] == list(first.values())
 
 
-def _generic_leibniz_rows(A, products):
-    """Coordinate c of d(a)b + a d(b) - d(ab), a <= b, with one table lookup per (y, b)."""
-    F, n = A.field, A.dim
+def _generic_leibniz_rows(F, n, products):
+    """Coordinate c of d(a)b + a d(b) - d(ab), a <= b, over F, with one table lookup per (y, b)."""
 
     def prod(i, j):
         return products.get((i, j) if i <= j else (j, i), {})
@@ -601,18 +615,20 @@ def _generic_leibniz_rows(A, products):
     return rows
 
 
-@pytest.mark.parametrize("field", [Q, PrimeField(13), QS3], ids=repr)
+@pytest.mark.parametrize("field", [Q, PrimeField(13), QS3, F7S3], ids=repr)
 @pytest.mark.parametrize("desc", ["S4", "W:D4", "3W:A2", "M3:2"])
 def test_leibniz_builder_keeps_the_generic_row_list(desc, field):
     """Row for row in the stable shortest-first order, each row's coefficients in
-    their order; over Q the integer table of `_build_system` is read."""
+    their order, over the prime field k: over F_p the residues of the table are
+    read, over Q and Q(sqrt 3) the rational parts of its integer form, and over
+    F_7(sqrt 3) those parts are residues."""
     A = _alg(desc, field)
-    if field == Q:
-        products = {ij: r for ij, (r, _) in A.integer_table[1].items()}
-        rows = deriv._build_system(A, "leibniz")
+    if isinstance(field, PrimeField):
+        products = A.products
     else:
-        products, rows = A.products, build_leibniz_system(A)
-    oracle = sorted(_generic_leibniz_rows(A, products), key=len)
+        products = {ij: r for ij, (r, _) in A.integer_table[1].items()}
+    rows = build_leibniz_system(A)
+    oracle = sorted(_generic_leibniz_rows(base_field(field), A.dim, products), key=len)
     assert rows == oracle
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
 
@@ -625,7 +641,7 @@ def test_nullspace_stops_feeding_rows_at_full_rank(monkeypatch, desc):
     ncols = A.dim * A.dim
     Fp = PrimeField(MODULUS)
     for system in ("leibniz", "r"):
-        rows = deriv._build_system(A, system)
+        rows = _rows(A, system)
         full = linalg._echelon(rows, Fp)
         assert full.rank == ncols
         inserts, insert = [], linalg.Echelon.insert
@@ -646,7 +662,7 @@ def test_rows_on_forced_zero_columns_are_not_reduced(monkeypatch, field):
     F = PrimeField(MODULUS) if field == Q else field
     reduced, rows_in, reduce = [], 0, linalg.Echelon.reduce
     for system in ("leibniz", "r"):
-        rows = deriv._build_system(A, system)
+        rows = _rows(A, system)
         rows_in += len(rows)
         monkeypatch.setattr(linalg.Echelon, "reduce", lambda *a: reduced.append(a) or reduce(*a))
         ech = linalg._echelon(rows, F, A.dim * A.dim)
@@ -658,6 +674,29 @@ def test_rows_on_forced_zero_columns_are_not_reduced(monkeypatch, field):
         assert list(ech.solved) == list(ref.solved)
         assert ech.solved == ref.solved
     assert (rows_in, len(reduced)) == (37944, 16016)
+
+
+@pytest.mark.parametrize("system", ["leibniz", "r"])
+@pytest.mark.parametrize("field", [QS3, F7S3], ids=repr)
+@pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:2"])
+def test_basis_over_an_extension_is_the_base_basis_coerced(desc, field, system):
+    k_basis = derivation_basis(_alg(desc, field.base), system)
+    coerced = [[{b: field.coerce(v) for b, v in col.items()} for col in d.cols] for d in k_basis]
+    assert _entries(derivation_basis(_alg(desc, field), system)) == coerced
+
+
+@pytest.mark.parametrize("field", ["Q(sqrt:3)", "F13(sqrt:2)"])
+def test_derive_solves_no_row_over_an_extension(monkeypatch, capsys, field):
+    fields, nullspace = [], linalg.nullspace
+
+    def spy(rows, n, F):
+        fields.append(F)
+        return nullspace(rows, n, F)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    assert main(["derive", "3W:A2", "--field", field, "--system", "both"]) == EXIT_OK
+    assert "dimension" in capsys.readouterr().out
+    assert fields and not any(isinstance(F, QuadraticExtension) for F in fields)
 
 
 def test_is_derivation_reads_the_integer_table_of_the_algebra(monkeypatch):

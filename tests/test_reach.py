@@ -29,7 +29,8 @@ README = os.path.join(ROOT, "README.md")
 # each command is small; together they touch every path that has a command
 LADDER = [
     ["build", "S4", "--products"],  # the product table export
-    ["derive", "3W:A1", "--field", "Q(sqrt:3)"],  # QuadraticExtension.format
+    # the rows solved over Q, the basis coerced into Q(sqrt 3); QuadraticExtension.format
+    ["derive", "3W:A1", "--field", "Q(sqrt:3)"],
     ["classify-lines", "3W:A3"],  # line_orbit_class on an 18-point (AffA3) component
     ["classify-lines", "M3:3"],
     # F13 has sqrt(-1), so section runs the character check

@@ -14,7 +14,7 @@ import pytest
 from matsuo import autos, deriv, verify
 from matsuo.algebra import MatsuoAlgebra
 from matsuo.deriv import LinearEndo, derivation_basis
-from matsuo.fields import DivisionByZero, PrimeField, QuadraticExtension, Rationals
+from matsuo.fields import DivisionByZero, PrimeField, QuadraticExtension, Rationals, base_field
 from matsuo.fischer import FischerSpace, space_of
 from matsuo.roots import parse_root_system
 from matsuo.transpo import CATALOG, parse_group
@@ -38,11 +38,17 @@ def _verdict(check, *args):
     return "pass"
 
 
-def test_rational_suites_build_over_the_base_field():
+def test_rational_suites_build_over_the_base_field(monkeypatch):
+    """Fusion, equivalence and section build over k, model over K."""
     F5S3 = QuadraticExtension(PrimeField(5), 3)
-    assert verify._base_algebra("S3", QS3).field == Q
-    assert verify._base_algebra("S3", F5S3).field == PrimeField(5)
-    assert verify._base_algebra("S3", PrimeField(13)).field == PrimeField(13)
+    assert base_field(PrimeField(13)) == PrimeField(13)
+    fields, algebra = [], verify._algebra
+    monkeypatch.setattr(verify, "_algebra", lambda d, F: fields.append(F) or algebra(d, F))
+    for K, k in ((QS3, Q), (F5S3, PrimeField(5))):
+        assert base_field(K) == k
+        fields.clear()
+        verify.run("all", K, ["S3"], ["A1"], random.Random(0), 1)
+        assert fields == [k, k, K, k]
 
 
 @pytest.mark.parametrize("desc", SMALL)  # includes 3W:A2 (dim 9)
@@ -151,7 +157,7 @@ def _every_axis(per_axis):
 
 def _fusion_on(monkeypatch, A):
     """The fusion ledger entry of `verify.run` on A, and the axes it checked."""
-    monkeypatch.setattr(verify, "_base_algebra", lambda desc, field: A)
+    monkeypatch.setattr(verify, "_algebra", lambda desc, field: A)
     axes, check = [], MatsuoAlgebra.check_fusion
 
     def recording(self, a):
@@ -173,7 +179,7 @@ def _every_axis_entry(monkeypatch, A):
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
 @pytest.mark.parametrize("desc", CATALOG)
 def test_fusion_at_one_axis_per_orbit_agrees_with_every_axis(desc, field, every_axis_fusion):
-    A = verify._base_algebra(desc, field)
+    A = verify._algebra(desc, field)
     assert A.is_matsuo_table()  # the certificate is accepted
     orbits = A.fs.point_orbits()
     assert orbits is not None and len(orbits) == len(A.fs.components())
