@@ -36,19 +36,6 @@ class AutosError(Exception):
     can catch it without importing `autos`."""
 
 
-class Eigendecomp:
-    """Eigenspace bases of the left multiplication by an axis: 1, 0 and eta parts."""
-
-    def __init__(self, space_1, space_0, space_eta):
-        self.space_1 = space_1
-        self.space_0 = space_0
-        self.space_eta = space_eta
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (len(self.space_1), len(self.space_0), len(self.space_eta))
-
-
 class SparseAlgebra:
     """Commutative algebra given by a sparse structure-constant table.
 
@@ -213,12 +200,12 @@ class MatsuoAlgebra(SparseAlgebra):
 
     # -- axes and fusion --------------------------------------------------------
 
-    def eigendecompose(self, a: int) -> Eigendecomp:
-        """The eigenspaces of L_a, read off the lines through a and checked exactly.
+    def eigendecompose(self, a: int) -> dict[str, list[dict]]:
+        """The eigenspace bases of L_a, {"1": [e_a], "0": [...], "eta": [...]}, checked exactly.
 
-        space_1 = [e_a]; each line {a, b, c}, b < c, in order of b, gives e_b - e_c to
-        space_eta and e_b + e_c - eta e_a to space_0; then each e_d, d not collinear
-        with a, joins space_0 in order of d.  Once `third[a]` pairs the points collinear
+        Each line {a, b, c} through a, b < c, in order of b, gives e_b - e_c to the
+        eta-space and e_b + e_c - eta e_a to the 0-space; then each e_d, d not collinear
+        with a, joins the 0-space in order of d.  Once `third[a]` pairs the points collinear
         with a, these n vectors are independent (char k != 2, eta not 0 or 1), so when
         L_a v = lambda v holds for each, L_a is semisimple with these eigenspaces.
         """
@@ -231,12 +218,12 @@ class MatsuoAlgebra(SparseAlgebra):
         space_0 = [{b: one, c: one, a: minus_eta} for b, c in lines]
         space_0 += [{d: one} for d, c in enumerate(row) if c < 0 and d != a]
         e_a = {a: one}
-        for label, lam, space in (("1", one, [e_a]), ("0", F.zero_raw(), space_0),
-                                  ("eta", self.eta, space_eta)):
-            for i, v in enumerate(space):
+        spaces = {"1": [e_a], "0": space_0, "eta": space_eta}
+        for label, lam in (("1", one), ("0", F.zero_raw()), ("eta", self.eta)):
+            for i, v in enumerate(spaces[label]):
                 if self.sub(self.multiply(e_a, v), self.scale(lam, v)):
                     raise NotSemisimple(f"axis {a}: L_a v != {label} v for {label}-vector {i}")
-        return Eigendecomp([{a: one}], space_0, space_eta)
+        return spaces
 
     def check_fusion(self, a: int) -> list[dict]:
         """Violations of the Jordan fusion law at axis a (empty report = pass).
@@ -245,12 +232,7 @@ class MatsuoAlgebra(SparseAlgebra):
         l2-space, in the order of `eigendecompose`, leaves the span the law allows.
         """
         F = self.field
-        dec = self.eigendecompose(a)
-        spaces = {
-            "1": dec.space_1,
-            "0": dec.space_0,
-            "eta": dec.space_eta,
-        }
+        spaces = self.eigendecompose(a)
         allowed = {
             ("1", "1"): ("1",),
             ("1", "0"): (),

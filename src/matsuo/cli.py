@@ -70,14 +70,14 @@ def _report(args, command: str, results: dict, passed: bool = True) -> dict:
         "schema": 1,
         "version": __version__,
         "command": command,
-        "group": getattr(args, "group", None),
-        "field": getattr(args, "field", None),
-        "eta": getattr(args, "eta", None),
-        "seed": getattr(args, "seed", None),
+        "group": args.group,
+        "field": args.field,
+        "eta": args.eta,
+        "seed": args.seed,
         "passed": passed,
         "results": results,
     }
-    if getattr(args, "timing", False):
+    if args.timing:
         doc["duration_s"] = round(time.time() - args._t0, 3)
     return doc
 
@@ -319,6 +319,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     args._t0 = time.time()
     try:
+        if args.json and args.csv:
+            raise UsageError("--json and --csv cannot be given together")
         report, table = args.func(args)
         _emit(args, report, table)
     except UsageError as e:

@@ -11,10 +11,9 @@ and name each unknown by one shared int.  The Leibniz rows are a list; the
 Over every field both are integer rows with entries in the prime field k (over
 Q the Leibniz rows have the table's denominators cleared), solved over k; over
 k(sqrt d) only the basis is coerced into k(sqrt d).  Over Q they are solved
-modulo the prime MODULUS; the lifted basis is certified against the same rows
-in Python ints, with the solve over Q of the same rows as the fallback (see
-`_lifted_basis`).  `satisfies_r_system` runs the same row check (`_orthogonal`)
-over every field.
+modulo the prime MODULUS at every eta; the lifted basis is certified against
+the same rows in Python ints, with the solve over Q as the fallback (see
+`_lifted_basis`).  `satisfies_r_system` runs the same check over every field.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import lru_cache
 
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
-from .fields import DivisionByZero, PrimeField, Rationals, base_field
+from .fields import PrimeField, Rationals, base_field
 from .linalg import axpy, rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
@@ -52,10 +51,6 @@ class LinearEndo:
         return {
             a * self.dim + b: v for a, col in enumerate(self.cols) for b, v in col.items()
         }
-
-    def entry(self, a: int, b: int):
-        """Coefficient d(a)_b."""
-        return self.cols[a].get(b)
 
     def apply(self, A, x: dict) -> dict:
         """The image of x; A is any algebra over the field of the images."""
@@ -276,7 +271,7 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEn
         raise ValueError(f"unknown system {system!r}")
     rows = build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
     F, n, k = A.field, A.dim, base_field(A.field)
-    basis = _lifted_basis(A, rows) if isinstance(k, Rationals) else None
+    basis = _lifted_basis(rows, n * n) if isinstance(k, Rationals) else None
     if basis is None:
         basis = linalg.nullspace(rows, n * n, k)
     if k != F:
@@ -284,7 +279,7 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEn
     return [LinearEndo.from_vector(n, x) for x in basis]
 
 
-def _lifted_basis(A: MatsuoAlgebra, rows) -> list[dict] | None:
+def _lifted_basis(rows, ncols: int) -> list[dict] | None:
     """The nullspace over Q of `rows`, found modulo MODULUS and checked exactly, or None.
 
     `rows` are the integer rows of a builder, which the caller solves over Q
@@ -294,22 +289,15 @@ def _lifted_basis(A: MatsuoAlgebra, rows) -> list[dict] | None:
     reconstruction.  The k lifted vectors are independent, as each is 1 on its
     own free column and 0 on the others.  If each is orthogonal to every integer
     row (`_orthogonal`), they span the nullspace over Q, since rank_p <= rank_Q
-    bounds nullity_Q by k.
+    bounds nullity_Q by k, whatever eta is.
     """
-    Q, Fp = base_field(A.field), PrimeField(MODULUS)
-    try:
-        eta = Fp.coerce(A.eta if A.field == Q else A.eta[0])  # eta is (eta, 0) over Q(sqrt d)
-    except DivisionByZero:  # p divides the denominator of eta
-        return None
-    if eta in (0, 1):  # the reduction mod p is no Matsuo algebra
-        return None
     basis = []
-    for vec in linalg.nullspace(rows, A.dim * A.dim, Fp):
+    for vec in linalg.nullspace(rows, ncols, PrimeField(MODULUS)):
         lifted = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
         if None in lifted.values():
             return None
         basis.append(lifted)
-    return basis if _orthogonal(rows, basis, Q) else None
+    return basis if _orthogonal(rows, basis, Rationals()) else None
 
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:
@@ -323,11 +311,10 @@ def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:
 def vanishing_report(A: MatsuoAlgebra, basis: list[LinearEndo]) -> dict:
     """For each ordered collinear pair (a, b): is d(a)_b zero across the basis."""
     F = A.field
+    zero = F.zero_raw()
     report = {}
     for a in range(A.dim):
         for b in range(A.dim):
             if a != b and A.fs.collinear(a, b):
-                report[(a, b)] = all(
-                    d.entry(a, b) is None or F.is_zero(d.entry(a, b)) for d in basis
-                )
+                report[(a, b)] = all(F.is_zero(d.cols[a].get(b, zero)) for d in basis)
     return report

@@ -19,7 +19,9 @@ def every_axis_fusion():
         if (desc, field) not in cache:
             A = MatsuoAlgebra(space_of(parse_group(desc)), field.coerce(Fraction(1, 2)), field)
             axes = range(A.dim)
-            cache[desc, field] = [(A.eigendecompose(a).dims, A.check_fusion(a)) for a in axes]
+            cache[desc, field] = [
+                (tuple(map(len, A.eigendecompose(a).values())), A.check_fusion(a)) for a in axes
+            ]
         return cache[desc, field]
 
     return fusion

@@ -187,6 +187,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify", "model", "--field", "Q"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "bogus-suite"], capsys)[0] == EXIT_USAGE
     assert run(["no-such-command"], capsys)[0] == EXIT_USAGE
+    # two report formats are refused before the command runs, not settled silently
+    assert run(["build", "S3", "--json", "--csv"], capsys) == (
+        EXIT_USAGE, "", "error: --json and --csv cannot be given together\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -245,7 +245,7 @@ def test_vertical_sum_identity():
                 for a in range(A.dim):
                     if a in line:
                         continue
-                    s = sum((d.entry(a, b) or Fraction(0)) for b in line)
+                    s = sum((d.cols[a].get(b) or Fraction(0)) for b in line)
                     assert s == 0, (desc, a, line)
 
 
@@ -262,7 +262,7 @@ def test_simple_root_freeness_on_3w():
         for d in basis:
             row = {}
             for i, alpha in enumerate(rs.simple_roots()):
-                v = d.entry(pt[(0, alpha)], pt[(1, alpha)])
+                v = d.cols[pt[(0, alpha)]].get(pt[(1, alpha)])
                 if v:
                     row[i] = v
             eval_rows.append(row)
@@ -329,7 +329,7 @@ def _exact(A, system):
 def test_lifted_basis_equals_exact_solve_over_q(desc, system):
     A = _alg(desc)
     # the modular route answered
-    assert deriv._lifted_basis(A, _rows(A, system)) is not None
+    assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is not None
     assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
 
 
@@ -339,15 +339,16 @@ def test_lifted_basis_equals_exact_solve_over_q(desc, system):
 @pytest.mark.parametrize("desc", ["S4", "S5", "W:A3", "3W:A2", "M3:2"])
 def test_lifted_leibniz_basis_at_other_eta(desc, eta):
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
-    assert deriv._lifted_basis(A, _rows(A, "leibniz")) is not None
+    assert deriv._lifted_basis(_rows(A, "leibniz"), A.dim * A.dim) is not None
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
 @pytest.mark.parametrize("eta", [Fraction(2**61), Fraction(1, MODULUS)])
-def test_eta_without_image_mod_p_falls_back(eta):
+@pytest.mark.parametrize("desc", ["S4", "S5", "W:A3", "3W:A2", "M3:2"])
+def test_lift_is_certified_at_eta_without_image_mod_p(desc, eta):
     # 2^61 is 1 mod p, and p divides the denominator of 1/p
-    A = MatsuoAlgebra(space_of(parse_group("S4")), eta, Q)
-    assert deriv._lifted_basis(A, _rows(A, "leibniz")) is None
+    A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
+    assert deriv._lifted_basis(_rows(A, "leibniz"), A.dim * A.dim) == []
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
@@ -385,7 +386,7 @@ def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
     A = _alg("S4")  # dim 3, with entries such as -7/6
     exact = _exact(A, system)
     monkeypatch.setattr(deriv, "rational_lift", lift)
-    assert deriv._lifted_basis(A, _rows(A, system)) is None
+    assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is None
     assert _entries(derivation_basis(A, system)) == _entries(exact)
 
 
@@ -410,11 +411,11 @@ def test_certificate_rejects_one_wrong_entry_in_any_vector(monkeypatch, system):
     A = _alg("3W:A2")
     count = _WrongAt(-1)
     monkeypatch.setattr(deriv, "rational_lift", count)
-    assert len(deriv._lifted_basis(A, _rows(A, system))) == 8
+    assert len(deriv._lifted_basis(_rows(A, system), A.dim * A.dim)) == 8
     assert count.calls > 8
     for k in range(count.calls):
         monkeypatch.setattr(deriv, "rational_lift", _WrongAt(k))
-        assert deriv._lifted_basis(A, _rows(A, system)) is None, k
+        assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is None, k
 
 
 def _naive_leibniz_rows(A):
@@ -697,6 +698,22 @@ def test_derive_solves_no_row_over_an_extension(monkeypatch, capsys, field):
     assert main(["derive", "3W:A2", "--field", field, "--system", "both"]) == EXIT_OK
     assert "dimension" in capsys.readouterr().out
     assert fields and not any(isinstance(F, QuadraticExtension) for F in fields)
+
+
+@pytest.mark.parametrize("eta", [str(2**61), f"1/{MODULUS}"])
+def test_derive_over_q_solves_only_mod_p_at_any_eta(monkeypatch, capsys, eta):
+    """At an eta that is 1 mod p, or whose denominator p divides, the rows are still
+    solved mod p and the lift certified: no solve over Q runs."""
+    fields, nullspace = [], linalg.nullspace
+
+    def spy(rows, n, F):
+        fields.append(F)
+        return nullspace(rows, n, F)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    assert main(["derive", "S4", "--system", "leibniz", "--eta", eta]) == EXIT_OK
+    assert "dimension: {'leibniz': 0}" in capsys.readouterr().out
+    assert fields == [PrimeField(MODULUS)]
 
 
 def test_is_derivation_reads_the_integer_table_of_the_algebra(monkeypatch):

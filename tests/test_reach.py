@@ -42,7 +42,6 @@ LADDER = [
 # qualified name pattern -> the file outside the package that reads it, so it may
 # stay without a command reaching it
 ALLOWED = {
-    "Eigendecomp.dims": "README.md",  # the public example
     "sqrt_in_field": "bench/traced.py",  # the package asks `Field.sqrt_raw`
 }
 
@@ -148,6 +147,11 @@ def test_package_modules_use_every_name_they_import():
     assert not unused, f"imported and never used: {unused}"
 
 
+def test_bench_modules_use_every_name_they_import():
+    unused = _unused_in(os.path.join(ROOT, "bench"))
+    assert not unused, f"imported and never used: {unused}"
+
+
 def test_allow_list_names_existing_functions():
     """Each entry matches a function, and the file it names reads that function."""
     names = set(_definitions().values())
@@ -162,8 +166,7 @@ def test_allow_list_names_existing_functions():
 
 
 def test_readme_example_prints_what_its_comments_say(capsys):
-    """The README's Python example, which keeps `Eigendecomp.dims` on ALLOWED, prints
-    on each `print` line the value its comment gives."""
+    """The README's Python example prints on each `print` line the value its comment gives."""
     with open(README) as fh:
         (example,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
     lines = [line for line in example.splitlines() if line.startswith("print(")]
