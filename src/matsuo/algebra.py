@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .fields import Field, QuadraticExtension, field_name
+from .fields import Field, QuadraticExtension
 from .fischer import FischerSpace
 from .linalg import Echelon, axpy
 
@@ -264,7 +264,7 @@ class MatsuoAlgebra(SparseAlgebra):
         for (i, j), row in sorted(self.products.items()):
             prods.append([i, j, [[k, F.format(v)] for k, v in sorted(row.items())]])
         return {
-            "field": field_name(F),
+            "field": repr(F),
             "eta": F.format(self.eta),
             "basis": list(self.fs.labels),
             "products": prods,

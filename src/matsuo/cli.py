@@ -49,6 +49,8 @@ def _field_and_eta(args) -> tuple[Field, object]:
         field = parse_field(args.field)
     except (ArithmeticError, FieldError) as e:  # e.g. d = 1/0, or 1/5 in F5(sqrt:1/5)
         raise UsageError(f"cannot read field {args.field!r}: {e}")
+    if "e" in args.eta.lower():  # Fraction would build 10^exponent before any check
+        raise UsageError(f"eta {args.eta!r} has an exponent; give it as a/b or a decimal")
     try:
         return field, field.coerce(Fraction(args.eta))
     except (ValueError, ZeroDivisionError, DivisionByZero) as e:
@@ -78,7 +80,7 @@ def _report(args, command: str, results: dict, passed: bool = True) -> dict:
         "results": results,
     }
     if args.timing:
-        doc["duration_s"] = round(time.time() - args._t0, 3)
+        doc["duration_s"] = round(time.perf_counter() - args._t0, 3)
     return doc
 
 
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    args._t0 = time.time()
+    args._t0 = time.perf_counter()
     try:
         if args.json and args.csv:
             raise UsageError("--json and --csv cannot be given together")

@@ -71,8 +71,6 @@ class Field:
 
 
 class Rationals(Field):
-    characteristic = 0
-
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
@@ -144,7 +142,7 @@ class PrimeField(Field):
             return x % self.p
         if isinstance(x, Fraction):
             return self.div(x.numerator % self.p, x.denominator % self.p)
-        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
+        raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def zero_raw(self):
         return 0
@@ -166,7 +164,7 @@ class PrimeField(Field):
 
     def inv(self, a):
         if a % self.p == 0:
-            raise DivisionByZero(f"1/0 in F_{self.p}")
+            raise DivisionByZero(f"1/0 in {self}")
         return pow(a, -1, self.p)
 
     def is_zero(self, a):
@@ -190,7 +188,7 @@ class PrimeField(Field):
         return hash(("Fp", self.p))
 
     def __repr__(self):
-        return f"F{self.p}"
+        return f"Fp:{self.p}"
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
@@ -307,7 +305,7 @@ class QuadraticExtension(Field):
         return hash(("ext", self.base, self.d))
 
     def __repr__(self):
-        return f"{self.base}(sqrt{self.base.format(self.d)})"
+        return f"{self.base}(sqrt:{self.base.format(self.d)})"
 
 
 def base_field(field: Field) -> Field:
@@ -329,23 +327,15 @@ _DESC_RE = re.compile(r"^(Q|F(?:p:)?(\d+))(\(sqrt:(-?\d+(?:/\d+)?)\))?$")
 
 
 def parse_field(desc: str) -> Field:
-    """Parse a field descriptor: Q, Fp:<p> (or F<p>), Q(sqrt:<d>), Fp:<p>(sqrt:<d>)."""
+    """Parse a field descriptor: Q, Fp:<p> (or F<p>), Q(sqrt:<d>), Fp:<p>(sqrt:<d>).
+    Each field's `repr` is the descriptor of this form that names it."""
     m = _DESC_RE.match(desc.strip())
     if not m:
         raise BadDescriptor(f"cannot parse field descriptor {desc!r}")
-    base: Field = Rationals() if m.group(1) == "Q" else PrimeField(int(m.group(2)))
-    if m.group(3) is None:
-        return base
-    d = Fraction(m.group(4))
-    return QuadraticExtension(base, d)
+    try:  # int() refuses a string over `sys.get_int_max_str_digits()` digits
+        base: Field = Rationals() if m.group(1) == "Q" else PrimeField(int(m.group(2)))
+        d = None if m.group(3) is None else Fraction(m.group(4))
+    except ValueError:
+        raise BadDescriptor("a number in the descriptor has too many digits to read")
+    return base if d is None else QuadraticExtension(base, d)
 
-
-def field_name(field: Field) -> str:
-    """Canonical descriptor string for a field instance."""
-    if isinstance(field, Rationals):
-        return "Q"
-    if isinstance(field, PrimeField):
-        return f"Fp:{field.p}"
-    if isinstance(field, QuadraticExtension):
-        return f"{field_name(field.base)}(sqrt:{field.base.format(field.d)})"
-    raise TypeError(field)

@@ -223,5 +223,4 @@ def space_of(g: TranspoGroup) -> FischerSpace:
     """The Fischer space of g: collinear points x, y span the line {x, y, x^y}, and
     x^y = x just when x = y or x, y commute."""
     third = [[-1 if k == i else k for k in row] for i, row in enumerate(g.conj)]
-    labels = [g.payload_str(i) for i in range(g.size)]
-    return FischerSpace(g.size, third, labels, g.family, payloads=g.points, group=g)
+    return FischerSpace(g.size, third, g.labels, g.family, payloads=g.points, group=g)

@@ -35,10 +35,6 @@ class RootSystem(NamedTuple):
     positive_roots: tuple[tuple[int, ...], ...]
     root_set: frozenset = frozenset()
 
-    @property
-    def name(self) -> str:
-        return f"{self.type_name}{self.rank}"
-
     def simple_roots(self) -> list[tuple[int, ...]]:
         n = self.rank
         return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]

@@ -1,8 +1,8 @@
 """Catalog of finite 3-transposition groups, stored as the transposition set D.
 
 The abstract group is never materialised; a TranspoGroup holds the points of
-D with payloads, the conjugation action b^a as an index table, and the order
-predicate o(ab) derived from it.
+D with payloads and the labels its builder gives them, the conjugation action
+b^a as an index table, and the order predicate o(ab) derived from it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from .roots import RootSystem, parse_root_system
 
 
 class TranspoGroup(NamedTuple):
-    label: str
     family: str  # "symmetric" | "weyl" | "affine_weyl" | "moufang"
     points: tuple  # payloads
+    labels: tuple  # labels[i] names points[i] in reports
     conj: tuple  # conj[i][j] = index of points[i] ^ points[j]
     root_system: RootSystem | None = None
     # point permutations expected to preserve the lines, beyond the maps x -> x^a;
@@ -26,17 +26,6 @@ class TranspoGroup(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def payload_str(self, i: int) -> str:
-        p = self.points[i]
-        if self.family == "symmetric":
-            return f"({p[0]}{p[1]})" if max(p) < 10 else f"({p[0]},{p[1]})"
-        if self.family == "weyl":
-            return "r" + "".join(str(c) for c in p) if max(p) < 10 else str(p)
-        if self.family == "affine_weyl":
-            eps, alpha = p
-            return f"{eps}|r" + "".join(str(c) for c in alpha)
-        return "v" + "".join(str(c) for c in p)
 
 
 def build_symmetric(n: int) -> TranspoGroup:
@@ -53,13 +42,15 @@ def build_symmetric(n: int) -> TranspoGroup:
 
     index = {p: i for i, p in enumerate(points)}
     table = tuple(tuple(index[conj(a, b)] for b in points) for a in points)
-    return TranspoGroup(f"S{n}", "symmetric", tuple(points), table)
+    labels = tuple(f"({i}{j})" if j < 10 else f"({i},{j})" for i, j in points)
+    return TranspoGroup("symmetric", tuple(points), labels, table)
 
 
 def build_weyl(rs: RootSystem) -> TranspoGroup:
     """Reflections of a simply laced Weyl group, identified with Phi^+."""
     table = tuple(tuple(k for _, k, _ in row) for row in rs.positive_reflections())
-    return TranspoGroup(f"W:{rs.name}", "weyl", rs.positive_roots, table, rs)
+    labels = tuple("r" + "".join(map(str, alpha)) for alpha in rs.positive_roots)
+    return TranspoGroup("weyl", rs.positive_roots, labels, table, rs)
 
 
 def build_affine_weyl(rs: RootSystem) -> TranspoGroup:
@@ -80,7 +71,8 @@ def build_affine_weyl(rs: RootSystem) -> TranspoGroup:
         tuple(3 * k + s * (e1 - e2 * m) % 3 for m, k, s in refl for e2 in (0, 1, 2))
         for refl in rs.positive_reflections() for e1 in (0, 1, 2)
     )
-    return TranspoGroup(f"3W:{rs.name}", "affine_weyl", points, table, rs)
+    labels = tuple(f"{eps}|r" + "".join(map(str, alpha)) for eps, alpha in points)
+    return TranspoGroup("affine_weyl", points, labels, table, rs)
 
 
 def build_moufang(n: int) -> TranspoGroup:
@@ -102,7 +94,8 @@ def build_moufang(n: int) -> TranspoGroup:
     index = {v: i for i, v in enumerate(points)}
     linear = (lambda v: (*v[1:], v[0]), lambda v: ((v[0] + v[1]) % 3, *v[1:]))
     symmetries = tuple([index[f(v)] for v in points] for f in linear) if n >= 2 else ()
-    return TranspoGroup(f"M3:{n}", "moufang", points, tuple(map(tuple, table)),
+    labels = tuple("v" + "".join(map(str, v)) for v in points)
+    return TranspoGroup("moufang", points, labels, tuple(map(tuple, table)),
                         symmetries=symmetries)
 
 

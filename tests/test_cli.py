@@ -191,6 +191,14 @@ def test_usage_errors_exit_2(capsys):
     assert run(["build", "S3", "--json", "--csv"], capsys) == (
         EXIT_USAGE, "", "error: --json and --csv cannot be given together\n"
     )
+    # a number over the digit limit of int() is a bad descriptor, not a traceback
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    for field in (f"F{long}", f"Q(sqrt:{long})"):
+        code, out, err = run(["build", "S4", "--field", field], capsys)
+        assert (code, out) == (EXIT_USAGE, "") and err.count("\n") == 1
+    # an exponent is refused before Fraction builds 10^400
+    code, out, err = run(["build", "S3", "--eta", "1e400"], capsys)
+    assert (code, out) == (EXIT_USAGE, "") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -293,10 +301,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["results"]["points"] == 6
 
 
-def test_timing_flag_adds_duration(capsys):
+def test_timing_flag_adds_duration(monkeypatch, capsys):
     code, doc = run_json(["build", "S4", "--timing"], capsys)
     assert code == EXIT_OK
     assert "duration_s" in doc
+    # the duration is not read off the wall clock, which may step back mid-run
+    clock = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    code, doc = run_json(["build", "S4", "--timing"], capsys)
+    assert code == EXIT_OK and doc["duration_s"] >= 0
 
 
 def test_exact_scalars_serialized_as_strings(capsys):

@@ -1,6 +1,7 @@
 """Field arithmetic: axioms, square roots, descriptor parsing."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from matsuo.fields import (
     PrimeField,
     QuadraticExtension,
     Rationals,
-    field_name,
     parse_field,
     sqrt_in_field,
 )
@@ -175,10 +175,18 @@ def test_extension_mul_matches_the_formula(a0, a1, b0, b1, rational):
 )
 def test_parse_field_roundtrip(desc):
     f = parse_field(desc)
-    assert parse_field(field_name(f)) == f
+    assert parse_field(repr(f)) == f
 
 
-@pytest.mark.parametrize("desc", ["", "R", "Fp:4", "Fp:2", "Q(sqrt:4)", "Q(sqrt)", "F"])
+# a number one digit over the limit of int(), whose ValueError is read as BadDescriptor
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ["", "R", "Fp:4", "Fp:2", "Q(sqrt:4)", "Q(sqrt)", "F",
+     pytest.param(f"F{LONG}", id="F<long>"), pytest.param(f"Q(sqrt:{LONG})", id="Q(sqrt:<long>)")],
+)
 def test_parse_field_rejects_bad_descriptors(desc):
     with pytest.raises(BadDescriptor):
         parse_field(desc)

@@ -7,7 +7,8 @@ reaches is dead API: delete it, or reach it from a command, or give it an
 entry in ALLOWED that names the file outside the package that reads it.
 
 A second AST gate fails on any name a test or package module imports and
-never uses; a package module uses each name its `__all__` lists.
+never uses; a package module uses each name its `__all__` lists.  A third
+fails on a field of a package `NamedTuple` that no package module reads.
 """
 
 import ast
@@ -45,6 +46,22 @@ ALLOWED = {
     "sqrt_in_field": "bench/traced.py",  # the package asks `Field.sqrt_raw`
 }
 
+# `NamedTuple` field -> the file outside the package that reads it
+FIELDS_READ_OUTSIDE = {
+    "FieldElement.raw": "bench/traced.py",
+}
+
+
+def _package_trees() -> dict:
+    """path -> parsed module, for every module of the package."""
+    trees = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(SRC, name)
+            with open(path) as fh:
+                trees[path] = ast.parse(fh.read(), path)
+    return trees
+
 
 def _definitions() -> dict:
     """(file, first line) -> qualified name of every function in the package.
@@ -64,11 +81,8 @@ def _definitions() -> dict:
             else:
                 walk(child, path, prefix)
 
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            path = os.path.join(SRC, name)
-            with open(path) as fh:
-                walk(ast.parse(fh.read(), path), path, "")
+    for path, tree in _package_trees().items():
+        walk(tree, path, "")
     return defs
 
 
@@ -108,6 +122,42 @@ def test_every_function_is_reached_by_a_command():
         if (path, line) not in reached and not _allowed(name)
     )
     assert not dead, "functions no command reaches:\n" + "\n".join(dead)
+
+
+def _namedtuple_fields(trees) -> list[str]:
+    """`Class.field` for every field of every `NamedTuple` class in `trees`."""
+    return [
+        f"{node.name}.{item.target.id}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    ]
+
+
+def test_every_namedtuple_field_is_read():
+    """Each field of a package `NamedTuple` is read as an attribute by some package
+    module, or FIELDS_READ_OUTSIDE names the file outside the package that reads it.
+    Reads are matched by attribute name alone, so the gate is coarse: a field passes
+    if any attribute of the same name is read, on any object."""
+    trees = _package_trees().values()
+    fields = _namedtuple_fields(trees)
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
+    missing = sorted(set(unread) - set(FIELDS_READ_OUTSIDE))
+    assert not missing, f"NamedTuple fields nothing reads: {missing}"
+    stale = sorted(set(FIELDS_READ_OUTSIDE) - set(unread))
+    assert not stale, f"entries that name no field, or one the package reads: {stale}"
+    for field, reader in FIELDS_READ_OUTSIDE.items():
+        with open(os.path.join(ROOT, reader)) as fh:
+            assert "." + field.rsplit(".", 1)[1] in fh.read(), f"{reader} never reads {field}"
 
 
 def _unused_imports(path: str) -> list[str]:

@@ -63,7 +63,7 @@ def test_root_sum_closure_in_a3():
 
 
 def test_parse_root_system():
-    assert parse_root_system("D4").name == "D4"
+    assert parse_root_system("D4")[:2] == ("D", 4)
     assert parse_root_system("A1").rank == 1
     for bad in ("B3", "A", "E9", "D2", ""):
         with pytest.raises(ValueError):

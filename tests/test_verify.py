@@ -62,7 +62,7 @@ def test_fusion_and_derivations_agree_over_q_and_q_sqrt3(desc, every_axis_fusion
         assert len(derivation_basis(A, system)) == len(derivation_basis(K, system))
 
 
-@pytest.mark.parametrize("field", [QS3, F7], ids=repr)
+@pytest.mark.parametrize("field", [QS3, F7], ids=["Q(sqrt3)", "F7"])
 def test_equivalence_never_holds_the_r_rows(monkeypatch, field):
     """The solve, the certificate and each random-map check stream the (R1)-(R7) rows
     afresh: at most two of them are alive at once, over several passes per group."""
