@@ -11,9 +11,10 @@ and name each unknown by one shared int.  The Leibniz rows are a list; the
 Over every field both are integer rows with entries in the prime field k (over
 Q the Leibniz rows have the table's denominators cleared), solved over k; over
 k(sqrt d) only the basis is coerced into k(sqrt d).  Over Q they are solved
-modulo the prime MODULUS at every eta; the lifted basis is certified against
-the same rows in Python ints, with the solve over Q as the fallback (see
-`_lifted_basis`).  `satisfies_r_system` runs the same check over every field.
+modulo the prime MODULUS at every eta, and the solve ends at the first
+checkpoint whose lifted basis is certified against all the rows in Python
+ints, with the solve over Q as the fallback (see `_lifted_basis`).
+`satisfies_r_system` runs the same check over every field.
 """
 
 from __future__ import annotations
@@ -249,18 +250,26 @@ def _orthogonal(rows, vectors: list[dict], field) -> bool:
 
     Each vector's denominators are cleared once (see `IntegerForm`); over F_p a
     sum is zero mod p, over F(sqrt d) its rational and sqrt parts both vanish.
-    A row that meets no vector's support is orthogonal to all of them.
+    `at` indexes each unknown to the (part, entry) pairs that name it, so a row
+    gets the dot products with every part in one pass over its entries.  A row
+    that meets no part's support is orthogonal to all of them.
     """
     p = field.characteristic
     parts = [part for x in vectors for part in IntegerForm(field, [x]).vector(x) if part]
-    support = set().union(*parts)
+    at = defaultdict(list)
+    for i, x in enumerate(parts):
+        for u, v in x.items():
+            at[u].append((i, v))
+    support = at.keys()
     for row in rows:
         if support.isdisjoint(row):
             continue
-        for x in parts:
-            t = sum(c * x[u] for u, c in row.items() if u in x)
-            if t % p if p else t:
-                return False
+        sums = [0] * len(parts)
+        for u, c in row.items():
+            for i, v in at.get(u, ()):
+                sums[i] += c * v
+        if any(t % p for t in sums) if p else any(sums):
+            return False
     return True
 
 
@@ -283,21 +292,38 @@ def _lifted_basis(rows, ncols: int) -> list[dict] | None:
     """The nullspace over Q of `rows`, found modulo MODULUS and checked exactly, or None.
 
     `rows` are the integer rows of a builder, which the caller solves over Q
-    itself when this returns None; the solve and the check each read them
-    afresh.  They are solved over F_p as they stand: the eliminator reads
-    unreduced integers.  The nullspace is lifted entrywise by rational
-    reconstruction.  The k lifted vectors are independent, as each is 1 on its
-    own free column and 0 on the others.  If each is orthogonal to every integer
-    row (`_orthogonal`), they span the nullspace over Q, since rank_p <= rank_Q
-    bounds nullity_Q by k, whatever eta is.
+    itself when this returns None.  They are solved over F_p as they stand:
+    the eliminator reads unreduced integers.  At each checkpoint of
+    `linalg.nullspace` (a row length that added no pivot, and the end of the
+    rows) the basis of the rows read so far is lifted entrywise by rational
+    reconstruction and checked against every row (`_orthogonal`, which reads
+    them afresh); the first basis that passes is the answer.  A solve that
+    reaches full rank returns [] with no check.
+
+    Why a prefix suffices: its k lifted vectors are independent, as each is 1
+    on its own free column and 0 on the others.  If each is orthogonal to every
+    row, nullity_Q(all) >= k.  For integer rows rank_p <= rank_Q, so
+    nullity_p(all) >= nullity_Q(all) >= k, and nullity_p(all) <= nullity_p(prefix)
+    = k.  So every later row reduces to zero mod p, and the solved form, hence
+    the basis, is the one the full solve ends with, whatever eta is.
     """
-    basis = []
-    for vec in linalg.nullspace(rows, ncols, PrimeField(MODULUS)):
-        lifted = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
-        if None in lifted.values():
-            return None
-        basis.append(lifted)
-    return basis if _orthogonal(rows, basis, Rationals()) else None
+    certified = []
+
+    def certify(basis):
+        lifted = []
+        for vec in basis:
+            x = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
+            if None in x.values():
+                return False
+            lifted.append(x)
+        if not _orthogonal(rows, lifted, Rationals()):
+            return False
+        certified.append(lifted)
+        return True
+
+    if not linalg.nullspace(rows, ncols, PrimeField(MODULUS), certify):
+        return []
+    return certified[0] if certified else None
 
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:

@@ -4,8 +4,10 @@ Rows and vectors are dicts {column: raw field value}, and `axpy` is the one
 routine that adds a multiple of one into another and drops what cancels.
 The eliminator keeps each pivot in solved form: `solved[p]` writes x_p as a
 combination of free columns only, which keeps the solutions short whenever
-the solution space is small.  Rows are fed in the order given, and read once:
-the builders order them shortest first to limit fill-in, and may stream them.
+the solution space is small.  Rows are fed in the order given, and read at
+most once: the builders order them shortest first to limit fill-in, and may
+stream them.  A solve stops reading at full rank, and `nullspace` with a
+`check` stops at the first checkpoint whose basis the check accepts.
 
 `Echelon.reduce` is one pass over the row: an entry on a free column is added
 into the residual, an entry on a pivot column adds its coefficient times that
@@ -160,20 +162,44 @@ def rank(rows, field: Field) -> int:
     return _echelon(rows, field).rank
 
 
-def nullspace(rows, ncols: int, field: Field) -> list[dict]:
-    """Basis of {x : row . x = 0 for all rows}, as sparse dicts over ncols columns."""
-    ech = _echelon(rows, field, ncols)
-    basis = []
-    for f in range(ncols):
-        if f in ech.solved:
-            continue
-        vec = {f: field.one_raw()}
-        for p, sol in ech.solved.items():
-            v = sol.get(f)
-            if v is not None:
-                vec[p] = v
-        basis.append(vec)
+def nullspace(rows, ncols: int, field: Field, check=None) -> list[dict]:
+    """Basis of {x : row . x = 0 for all rows}, as sparse dicts over ncols columns.
+
+    With `check`, the basis of the rows fed so far is offered to `check` at each
+    checkpoint, and the first basis it accepts is returned: the rows are read
+    no further.  A checkpoint follows the first row of each new length when the
+    rows of the length before it added no pivot.  The end of the rows is one
+    too, where the basis is returned whatever `check` says.  A solve that
+    reaches full rank returns [] and calls no check.
+    """
+    if check is None:
+        return _basis(_echelon(rows, field, ncols), ncols, field)
+    ech = Echelon(field)
+    length = start = None  # the length of the current class, and the rank before it
+    for row in rows:
+        if len(row) != length:
+            settled = ech.rank == start
+            length, start = len(row), ech.rank
+        else:
+            settled = False
+        if ech.insert(row) and ech.rank == ncols:
+            return []
+        del row  # a check streams the rows afresh; hold none of them across it
+        if settled and check(basis := _basis(ech, ncols, field)):
+            return basis
+    basis = _basis(ech, ncols, field)
+    if basis:
+        check(basis)
     return basis
+
+
+def _basis(ech: Echelon, ncols: int, field: Field) -> list[dict]:
+    """The nullspace basis of a solved form: one vector per free column f, 1 at f."""
+    vecs = {f: {f: field.one_raw()} for f in range(ncols) if f not in ech.solved}
+    for p, sol in ech.solved.items():
+        for f, v in sol.items():
+            vecs[f][p] = v
+    return list(vecs.values())
 
 
 def rational_lift(a: int, p: int) -> Fraction | None:

@@ -327,9 +327,15 @@ def _exact(A, system):
 @pytest.mark.parametrize("system", ["leibniz", "r"])
 @pytest.mark.parametrize("desc", CATALOG)
 def test_lifted_basis_equals_exact_solve_over_q(desc, system):
+    """The modular route answers, with the lift of the full solve mod p entry for
+    entry, keys in order (certifying a prefix of the rows changes no byte), and
+    that is the basis of the exact solve over Q."""
     A = _alg(desc)
-    # the modular route answered
-    assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is not None
+    rows, ncols = _rows(A, system), A.dim * A.dim
+    full = linalg.nullspace(rows, ncols, PrimeField(MODULUS))
+    lifted = [{u: rational_lift(v, MODULUS) for u, v in x.items()} for x in full]
+    staged = deriv._lifted_basis(rows, ncols)
+    assert [list(x.items()) for x in staged] == [list(x.items()) for x in lifted]
     assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
 
 
@@ -352,70 +358,97 @@ def test_lift_is_certified_at_eta_without_image_mod_p(desc, eta):
     assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
 
 
-class _OneWrongEntry:
-    """`rational_lift`, except that the first value other than 1 comes out 1 larger.
+def _one_wrong_entry(rows, vectors, field, orthogonal=deriv._orthogonal):
+    """`_orthogonal` on the vectors with their first entry other than 1 made 1 larger.
 
-    A free column lifts to 1, so the one wrong entry sits on a pivot column,
-    which some row names: the perturbed vector solves no system.
+    A free column lifts to 1, so the wrong entry sits on a pivot column, which
+    some row names: the perturbed vector solves no system.  It stands in for
+    `_orthogonal` at every checkpoint, so each certificate sees the wrong entry.
     """
-
-    def __init__(self):
-        self.spent = False
-
-    def __call__(self, a, p):
-        v = rational_lift(a, p)
-        if self.spent or v == 1:
-            return v
-        self.spent = True
-        return v + 1
+    vectors = [dict(x) for x in vectors]
+    x = next(x for x in vectors if set(x.values()) != {1})
+    u = next(u for u, v in x.items() if v != 1)
+    x[u] += 1
+    return orthogonal(rows, vectors, field)
 
 
 @pytest.mark.parametrize(
-    "system,lift",
+    "system,name,patch",
     [
-        pytest.param(system, lift, id=f"{system}-{name}")
+        pytest.param(system, name, patch, id=f"{system}-{tag}")
         for system in ("leibniz", "r")
-        for name, lift in (
-            ("wrong", lambda a, p: rational_lift(a, p) + 1),
-            ("none", lambda a, p: None),
-            ("one", _OneWrongEntry()),
+        for tag, name, patch in (
+            ("wrong", "rational_lift", lambda a, p: rational_lift(a, p) + 1),
+            ("none", "rational_lift", lambda a, p: None),
+            ("one", "_orthogonal", _one_wrong_entry),
         )
     ],
 )
-def test_failed_lift_or_certificate_falls_back(monkeypatch, system, lift):
+def test_failed_lift_or_certificate_falls_back(monkeypatch, system, name, patch):
     A = _alg("S4")  # dim 3, with entries such as -7/6
     exact = _exact(A, system)
-    monkeypatch.setattr(deriv, "rational_lift", lift)
+    monkeypatch.setattr(deriv, name, patch)
     assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is None
     assert _entries(derivation_basis(A, system)) == _entries(exact)
 
 
-class _WrongAt:
-    """`rational_lift`, except that lift number `k` (from 0) comes out 1 larger."""
-
-    def __init__(self, k):
-        self.k = k
-        self.calls = 0
-
-    def __call__(self, a, p):
-        v = rational_lift(a, p)
-        self.calls += 1
-        return v + 1 if self.calls == self.k + 1 else v
-
-
 @pytest.mark.parametrize("system", ["leibniz", "r"])
-def test_certificate_rejects_one_wrong_entry_in_any_vector(monkeypatch, system):
+def test_certificate_rejects_one_wrong_entry_in_any_vector(system):
     """Each lifted entry of 3W:A2's eight vectors, made wrong on its own, fails the
     certificate: a row is skipped only if it misses the union of the supports.
     The short (R1)-(R7) rows miss the support of some vectors and meet others."""
     A = _alg("3W:A2")
-    count = _WrongAt(-1)
-    monkeypatch.setattr(deriv, "rational_lift", count)
-    assert len(deriv._lifted_basis(_rows(A, system), A.dim * A.dim)) == 8
-    assert count.calls > 8
-    for k in range(count.calls):
-        monkeypatch.setattr(deriv, "rational_lift", _WrongAt(k))
-        assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is None, k
+    rows = _rows(A, system)
+    basis = deriv._lifted_basis(rows, A.dim * A.dim)
+    assert len(basis) == 8 and deriv._orthogonal(rows, basis, Q)
+    entries = [(i, u) for i, x in enumerate(basis) for u in x]
+    assert len(entries) == 96
+    for i, u in entries:
+        wrong = [dict(x) for x in basis]
+        wrong[i][u] += 1
+        assert not deriv._orthogonal(rows, wrong, Q), (i, u)
+
+
+def _certificates(monkeypatch):
+    """The verdicts of the `_orthogonal` calls made from now on, in order."""
+    verdicts, orthogonal = [], deriv._orthogonal
+
+    def spy(*args):
+        verdicts.append(orthogonal(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(deriv, "_orthogonal", spy)
+    return verdicts
+
+
+def test_a_failed_checkpoint_lets_the_solve_go_on(monkeypatch):
+    """S4's Leibniz rows of length 5 add no pivot, but the first row of length 7 does:
+    the basis at that checkpoint fails, and the one at the end of the rows passes."""
+    A = _alg("S4")
+    verdicts = _certificates(monkeypatch)
+    assert len(deriv._lifted_basis(_rows(A, "leibniz"), A.dim * A.dim)) == DIMS["S4"]
+    assert verdicts == [False, True]
+
+
+@pytest.mark.parametrize("system", ["leibniz", "r"])
+def test_full_rank_runs_no_certificate(monkeypatch, system):
+    A = _alg("M3:3")
+    verdicts = _certificates(monkeypatch)
+    assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) == []
+    assert verdicts == []
+
+
+@pytest.mark.parametrize("system", ["leibniz", "r"])
+def test_a_certified_checkpoint_ends_the_solve(monkeypatch, system):
+    """On 3W:D4 the first checkpoint passes, and the rows after it are never read."""
+    A = _alg("3W:D4")
+    rows = _rows(A, system)
+    inserted, insert = [], linalg.Echelon.insert
+    monkeypatch.setattr(linalg.Echelon, "insert", lambda *a: inserted.append(a) or insert(*a))
+    verdicts = _certificates(monkeypatch)
+    assert len(deriv._lifted_basis(rows, A.dim * A.dim)) == DIMS["3W:D4"]
+    assert verdicts == [True]
+    assert len(inserted) < len(rows)
 
 
 def _naive_leibniz_rows(A):
@@ -693,9 +726,9 @@ def test_basis_over_an_extension_is_the_base_basis_coerced(desc, field, system):
 def test_derive_solves_no_row_over_an_extension(monkeypatch, capsys, field):
     fields, nullspace = [], linalg.nullspace
 
-    def spy(rows, n, F):
+    def spy(rows, n, F, *check):
         fields.append(F)
-        return nullspace(rows, n, F)
+        return nullspace(rows, n, F, *check)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
     assert main(["derive", "3W:A2", "--field", field, "--system", "both"]) == EXIT_OK
@@ -709,9 +742,9 @@ def test_derive_over_q_solves_only_mod_p_at_any_eta(monkeypatch, capsys, eta):
     solved mod p and the lift certified: no solve over Q runs."""
     fields, nullspace = [], linalg.nullspace
 
-    def spy(rows, n, F):
+    def spy(rows, n, F, *check):
         fields.append(F)
-        return nullspace(rows, n, F)
+        return nullspace(rows, n, F, *check)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
     assert main(["derive", "S4", "--system", "leibniz", "--eta", eta]) == EXIT_OK
