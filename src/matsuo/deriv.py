@@ -13,8 +13,11 @@ Q the Leibniz rows have the table's denominators cleared), solved over k; over
 k(sqrt d) only the basis is coerced into k(sqrt d).  Over Q they are solved
 modulo the prime MODULUS at every eta, and the solve ends at the first
 checkpoint whose lifted basis is certified against all the rows in Python
-ints, with the solve over Q as the fallback (see `_lifted_basis`).
-`satisfies_r_system` runs the same check over every field.
+ints, with the solve over Q as the fallback (see `_lifted_basis`).  A row that
+names no unknown of the basis's support has a zero dot product with every
+vector, so of the (R1)-(R7) rows the check generates only those that name the
+support (`r_relations` given `names`).  `satisfies_r_system` runs the same
+check over every field, on the map's support.
 """
 
 from __future__ import annotations
@@ -93,16 +96,20 @@ def _unknowns(n: int) -> list[list[int]]:
 
 
 class Rows:
-    """A re-iterable row source: each pass calls `make` afresh, so no pass holds the rows."""
+    """The (R1)-(R7) rows of `fs`, re-iterable: each pass generates them afresh, so no
+    pass holds them.  `naming(names)` is one pass over the rows that name one of `names`."""
 
-    def __init__(self, make):
-        self._make = make
+    def __init__(self, fs):
+        self.fs = fs
 
     def __iter__(self):
-        return self._make()
+        return r_relations(self.fs)
 
     def __len__(self):  # a counting pass
-        return sum(1 for _ in self._make())
+        return sum(1 for _ in r_relations(self.fs))
+
+    def naming(self, names):
+        return r_relations(self.fs, names)
 
 
 def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
@@ -158,7 +165,7 @@ def build_leibniz_system(A: SparseAlgebra) -> list[dict]:
     return rows
 
 
-def r_relations(fs):
+def r_relations(fs, names=None):
     """The seven relation families characterising derivations at eta = 1/2, shortest first.
 
     Yields integer rows {unknown: coefficient}, each coefficient +-1 or 2,
@@ -172,57 +179,95 @@ def r_relations(fs):
     The order is the stable sort by length of (R1)-(R3), (R4), then (R5)-(R7)
     for each (a, b) in turn, made without holding the rows: one pass per length
     over the loops that hold it, (R4) before the (R7) rows of length 4.
+
+    Given `names`, a set of unknowns, it is instead one unsorted pass over the
+    rows that name one of them, each still once: the only rows a vector
+    supported on `names` can fail, as its dot product with any other row is an
+    empty sum.  With S[x] the points y of the unknowns d(x)_y in `names`, and
+    x.T the points t^x of t in T collinear with x, the same loops run over the
+    points through which a row can name S, not over every neighbour: e in S[a]
+    | S[a^b] | a.S[b] for (R5), e in S[a^b] | b.S[a] | a.S[b] for (R6), c and
+    c^a^b for c in S[a] | S[b] for (R4), b and b^a for b in S[a] for (R2); an
+    (R7) row is built only where it names S.
     """
     n, third, adj = fs.n, fs.third, fs.adjacency  # third: symmetric, and -1 on the diagonal
     nbrs = [sorted(adj_a) for adj_a in adj]  # the loops walk these, not all n points
     u = _unknowns(n)
-
-    def r7(a, b):
-        return 2 + len(adj[b] - adj[a])
+    if names is None:
+        S = None
+        # each (R7) length, worked out once per pass, in the order of nbrs
+        lengths = [[2 + len(adj[b] - adj[a]) for b in nbrs[a]] for a in range(n)]
+    else:
+        S = [set() for _ in range(n)]
+        for x in names:
+            S[x // n].add(x % n)
 
     def r1_to_r3():  # rows of length 1 and 2
         for a, (row_a, ua) in enumerate(zip(third, u)):
-            yield {ua[a]: 1}  # (R1)
-            for b, ba in enumerate(row_a):
+            bs = range(n) if S is None else S[a] | ({row_a[b] for b in S[a]} - {-1})
+            if S is None or a in bs:
+                yield {ua[a]: 1}  # (R1)
+            for b in bs:
+                ba = row_a[b]
                 if ba < 0 and b != a:
                     yield {ua[b]: 1}  # (R3)
                 elif b < ba:
                     yield {ua[b]: 1, ua[ba]: 1}  # (R2)
 
+    def r4():  # rows of length 4
+        for a, (row_a, ua) in enumerate(zip(third, u)):
+            for b in range(a + 1, n):
+                if row_a[b] >= 0:
+                    continue
+                row_b, ub = third[b], u[b]  # a perp b, c a common neighbour
+                if S is None:
+                    cs = nbrs[a]
+                else:  # c^a^b = c^b^a, as a and b commute
+                    cs = {c for c in S[a] | S[b] if row_a[c] >= 0 <= row_b[c]}
+                    cs |= {row_b[row_a[c]] for c in cs}
+                for c in cs:
+                    if row_b[c] >= 0 and c < (cab := row_b[row_a[c]]):
+                        yield {ua[c]: 1, ub[c]: 1, ua[cab]: 1, ub[cab]: 1}
+
     def r5_to_r7(length):  # rows of length 3, or the (R7) rows of `length`
         for a, (row_a, ua) in enumerate(zip(third, u)):
-            for b in nbrs[a]:
+            for i, b in enumerate(nbrs[a]):
                 ab, row_b, ub, uab = row_a[b], third[b], u[b], u[row_a[b]]
-                if length == 3:
-                    # (R5): d(a^b)_e = d(a)_e + d(b)_{e^a} for a noncommuting with b, e and b perp e
-                    for e in nbrs[a]:
-                        if e != b and row_b[e] < 0:
-                            yield {uab[e]: 1, ua[e]: -1, ub[row_a[e]]: -1}
-                    # (R6): e noncommuting with a, b and a^b
-                    if a < b:
-                        for e in nbrs[a]:
-                            if row_b[e] >= 0 and third[ab][e] >= 0:
-                                yield {uab[e]: 1, ua[row_b[e]]: -1, ub[row_a[e]]: -1}
+                if S is None:
+                    e5 = nbrs[a] if length == 3 else ()
+                    e6 = e5 if a < b else ()
+                    r7 = lengths[a][i] == length
+                else:  # the e, and the (R7) row, that name S through some unknown
+                    a_Sb = {row_a[f] for f in S[b]}
+                    e5 = adj[a] & (S[a] | S[ab] | a_Sb)
+                    e6 = adj[a] & (S[ab] | a_Sb | {row_b[f] for f in S[a]}) if a < b else ()
+                    r7 = b in S[a] or a in S[ab] or any(row_a[e] < 0 <= row_b[e] for e in S[b])
+                # (R5): d(a^b)_e = d(a)_e + d(b)_{e^a} for a noncommuting with b, e and b perp e
+                for e in e5:
+                    if e != b and row_b[e] < 0:
+                        yield {uab[e]: 1, ua[e]: -1, ub[row_a[e]]: -1}
+                # (R6): e noncommuting with a, b and a^b, for a < b
+                for e in e6:
+                    if row_b[e] >= 0 and third[ab][e] >= 0:
+                        yield {uab[e]: 1, ua[row_b[e]]: -1, ub[row_a[e]]: -1}
                 # (R7): 2 d(b)_a + d(a)_b + d(a^b)_a - sum_{a perp e, b noncommuting e} d(b)_e,
-                # of length r7(a, b): one term for each e in adj b - adj a but a
-                if r7(a, b) == length:
+                # of length 2 + |adj b - adj a|: one term for each e in adj b - adj a but a
+                if r7:
                     row = {ub[a]: 2, ua[b]: 1, uab[a]: 1}
                     for e in nbrs[b]:
                         if e != a and row_a[e] < 0:  # e commutes with a, e != a
                             row[ub[e]] = -1
                     yield row
 
+    if S is not None:
+        yield from r1_to_r3()
+        yield from r4()
+        yield from r5_to_r7(None)
+        return
     yield from (row for length in (1, 2) for row in r1_to_r3() if len(row) == length)
     yield from r5_to_r7(3)
-    for a, (row_a, ua) in enumerate(zip(third, u)):  # (R4), of length 4
-        for b in range(a + 1, n):
-            if row_a[b] >= 0:
-                continue
-            row_b, ub = third[b], u[b]  # a perp b, c a common neighbour
-            for c in nbrs[a]:
-                if row_b[c] >= 0 and c < (cab := row_b[row_a[c]]):
-                    yield {ua[c]: 1, ub[c]: 1, ua[cab]: 1, ub[cab]: 1}
-    for length in sorted({r7(a, b) for a in range(n) for b in adj[a]} - {3}):
+    yield from r4()
+    for length in sorted({x for row in lengths for x in row} - {3}):
         yield from r5_to_r7(length)
 
 
@@ -236,13 +281,13 @@ def require_eta_half(A: MatsuoAlgebra) -> None:
 def build_r_system(A: MatsuoAlgebra) -> Rows:
     """The `r_relations` rows, streamed: integer rows over every field."""
     require_eta_half(A)
-    return Rows(lambda: r_relations(A.fs))
+    return Rows(A.fs)
 
 
 def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo) -> bool:
     """Whether d satisfies (R1)-(R7)."""
     require_eta_half(A)
-    return _orthogonal(r_relations(A.fs), [d.to_vector()], A.field)
+    return _orthogonal(Rows(A.fs), [d.to_vector()], A.field)
 
 
 def _orthogonal(rows, vectors: list[dict], field) -> bool:
@@ -252,7 +297,8 @@ def _orthogonal(rows, vectors: list[dict], field) -> bool:
     sum is zero mod p, over F(sqrt d) its rational and sqrt parts both vanish.
     `at` indexes each unknown to the (part, entry) pairs that name it, so a row
     gets the dot products with every part in one pass over its entries.  A row
-    that meets no part's support is orthogonal to all of them.
+    that meets no part's support is orthogonal to all of them, so a `Rows`
+    source is read only for the rows that name the support (`Rows.naming`).
     """
     p = field.characteristic
     parts = [part for x in vectors for part in IntegerForm(field, [x]).vector(x) if part]
@@ -261,6 +307,8 @@ def _orthogonal(rows, vectors: list[dict], field) -> bool:
         for u, v in x.items():
             at[u].append((i, v))
     support = at.keys()
+    if isinstance(rows, Rows):
+        rows = rows.naming(support)
     for row in rows:
         if support.isdisjoint(row):
             continue
@@ -296,9 +344,11 @@ def _lifted_basis(rows, ncols: int) -> list[dict] | None:
     the eliminator reads unreduced integers.  At each checkpoint of
     `linalg.nullspace` (a row length that added no pivot, and the end of the
     rows) the basis of the rows read so far is lifted entrywise by rational
-    reconstruction and checked against every row (`_orthogonal`, which reads
-    them afresh); the first basis that passes is the answer.  A solve that
-    reaches full rank returns [] with no check.
+    reconstruction and checked against the rows that name the support of its
+    integer parts (`_orthogonal`, which reads them afresh): a row that names
+    none has a zero dot product with every vector, so it cannot fail.  The
+    first basis that passes is the answer.  A solve that reaches full rank
+    returns [] with no check.
 
     Why a prefix suffices: its k lifted vectors are independent, as each is 1
     on its own free column and 0 on the others.  If each is orthogonal to every

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -392,21 +393,41 @@ def test_failed_lift_or_certificate_falls_back(monkeypatch, system, name, patch)
     assert _entries(derivation_basis(A, system)) == _entries(exact)
 
 
+def _offer(monkeypatch, basis):
+    """Make the solve mod p offer `basis`, a basis over Q, as its one checkpoint."""
+
+    def solve(rows, ncols, field, check):
+        residues = [
+            {u: v.numerator * pow(v.denominator, -1, MODULUS) % MODULUS for u, v in x.items()}
+            for x in basis
+        ]
+        check(residues)
+        return residues
+
+    monkeypatch.setattr(linalg, "nullspace", solve)
+
+
 @pytest.mark.parametrize("system", ["leibniz", "r"])
-def test_certificate_rejects_one_wrong_entry_in_any_vector(system):
+def test_certificate_rejects_one_wrong_entry_in_any_vector(monkeypatch, system):
     """Each lifted entry of 3W:A2's eight vectors, made wrong on its own, fails the
-    certificate: a row is skipped only if it misses the union of the supports.
-    The short (R1)-(R7) rows miss the support of some vectors and meet others."""
+    certificate that `_lifted_basis` runs, and so does one nonzero entry at each
+    unknown outside their support: the (R1)-(R7) certificate reads only the rows
+    that name the support of the vectors it checks, and the nine unknowns d(a)_a
+    outside it are named by their (R1) rows alone."""
     A = _alg("3W:A2")
-    rows = _rows(A, system)
-    basis = deriv._lifted_basis(rows, A.dim * A.dim)
-    assert len(basis) == 8 and deriv._orthogonal(rows, basis, Q)
+    rows, ncols = _rows(A, system), A.dim * A.dim
+    basis = deriv._lifted_basis(rows, ncols)
     entries = [(i, u) for i, x in enumerate(basis) for u in x]
-    assert len(entries) == 96
-    for i, u in entries:
+    outside = sorted(set(range(ncols)).difference(*basis))
+    assert len(basis) == 8 and len(entries) == 96
+    assert outside == [a * A.dim + a for a in range(A.dim)]
+    _offer(monkeypatch, basis)
+    assert deriv._lifted_basis(rows, ncols) == basis
+    for i, u in entries + [(i, u) for i in range(len(basis)) for u in outside]:
         wrong = [dict(x) for x in basis]
-        wrong[i][u] += 1
-        assert not deriv._orthogonal(rows, wrong, Q), (i, u)
+        wrong[i][u] = wrong[i].get(u, 0) + 1
+        _offer(monkeypatch, wrong)
+        assert deriv._lifted_basis(rows, ncols) is None, (i, u)
 
 
 def _certificates(monkeypatch):
@@ -615,6 +636,30 @@ def test_r_relations_yield_each_brute_force_row_once(desc):
     assert len({frozenset(row.items()) for row in rows}) == len(rows)
     assert {frozenset(row.items()) for row in rows} == set(first)
     assert [list(row.items()) for row in rows] == list(first.values())
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+def test_rows_naming_a_set_are_the_brute_force_rows_that_name_it(desc):
+    """Given a set of unknowns, `r_relations` yields each brute-force row that names
+    one of them, once, and no other row: for each single unknown on the groups of
+    at most 18 points, else for the support of the lifted basis over Q and three
+    seeded random sets."""
+    fs = space_of(parse_group(desc))
+    n = fs.n
+    naming = defaultdict(set)  # unknown -> the brute-force rows that name it
+    for row in _r_relations_brute(fs):
+        for u in row:
+            naming[u].add(frozenset(row.items()))
+    if n <= 18:
+        sets = [{u} for u in range(n * n)]
+    else:
+        support = set().union(*deriv._lifted_basis(build_r_system(_alg(desc)), n * n))
+        rng = random.Random(n)
+        sets = [support] + [set(rng.sample(range(n * n), k)) for k in (1, 10, 100)]
+    for names in sets:
+        rows = [frozenset(row.items()) for row in deriv.r_relations(fs, names)]
+        assert len(set(rows)) == len(rows), names
+        assert set(rows) == set().union(*(naming[u] for u in names)), names
 
 
 def _generic_leibniz_rows(F, n, products):

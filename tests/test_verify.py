@@ -65,17 +65,18 @@ def test_fusion_and_derivations_agree_over_q_and_q_sqrt3(desc, every_axis_fusion
 @pytest.mark.parametrize("field", [QS3, F7], ids=["Q(sqrt3)", "F7"])
 def test_equivalence_never_holds_the_r_rows(monkeypatch, field):
     """The solve, the certificate and each random-map check stream the (R1)-(R7) rows
-    afresh: at most two of them are alive at once, over several passes per group.
-    On 3W:A3 the certificate runs at a checkpoint 1,909 rows into the solve."""
+    afresh, the last two only the rows that name the support: at most two of them
+    are alive at once, over several passes per group.  On 3W:A3 the certificate
+    runs at a checkpoint 1,909 rows into the solve."""
     passes, alive, r_relations = [], [0, 0], deriv.r_relations  # alive: now, most
 
     class Row(dict):
         def __del__(self):
             alive[0] -= 1
 
-    def tracked(fs):
-        passes.append(fs)
-        for row in r_relations(fs):
+    def tracked(fs, names=None):
+        passes.append(names is not None)
+        for row in r_relations(fs, names):
             alive[0] += 1
             alive[1] = max(alive)
             yield Row(row)
@@ -84,7 +85,8 @@ def test_equivalence_never_holds_the_r_rows(monkeypatch, field):
     groups = ["S4", "3W:A2", "M3:3", "3W:A3"]
     ledger = verify.run("equivalence", field, groups, [], random.Random(0), 3)
     assert [e["passed"] for e in ledger] == [True] * len(groups)
-    assert len(passes) >= 4 * len(groups)  # the solve and three random maps each
+    assert passes.count(False) >= len(groups)  # the solve, in full
+    assert passes.count(True) >= 3 * len(groups)  # three random maps, by their support
     assert alive[0] == 0 and alive[1] <= 2  # the row read and the one being made
 
 
