@@ -218,7 +218,7 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
     rng = random.Random(args.seed)
     groups = [args.group] if args.group is not None else list(CATALOG)
     types = [args.type] if args.type is not None else ["A2", "A3"]
-    needs_sqrt3 = args.suite in ("all", "model", "torus", "section")
+    needs_sqrt3 = args.suite == "all" or verify.SUITES[args.suite][1] == "types"
     if needs_sqrt3 and field.sqrt_raw(field.coerce(3)) is None:
         raise UsageError(f"suite {args.suite!r} needs a field containing sqrt(3)")
     if field.characteristic == 3:

@@ -341,14 +341,14 @@ def _lifted_basis(rows, ncols: int) -> list[dict] | None:
 
     `rows` are the integer rows of a builder, which the caller solves over Q
     itself when this returns None.  They are solved over F_p as they stand:
-    the eliminator reads unreduced integers.  At each checkpoint of
-    `linalg.nullspace` (a row length that added no pivot, and the end of the
-    rows) the basis of the rows read so far is lifted entrywise by rational
-    reconstruction and checked against the rows that name the support of its
-    integer parts (`_orthogonal`, which reads them afresh): a row that names
-    none has a zero dot product with every vector, so it cannot fail.  The
-    first basis that passes is the answer.  A solve that reaches full rank
-    returns [] with no check.
+    the eliminator reads unreduced integers.  The check handed to
+    `linalg.nullspace` lifts the basis of the rows read so far entrywise by
+    rational reconstruction, and returns the lift if it passes against the rows
+    that name the support of its integer parts (`_orthogonal`, which reads them
+    afresh), else None: a row that names none has a zero dot product with every
+    vector, so it cannot fail.  So the answer is the first lift certified at a
+    checkpoint (a row length that added no pivot), else the verdict at the end
+    of the rows, and [] with no check where the solve reaches full rank.
 
     Why a prefix suffices: its k lifted vectors are independent, as each is 1
     on its own free column and 0 on the others.  If each is orthogonal to every
@@ -357,31 +357,21 @@ def _lifted_basis(rows, ncols: int) -> list[dict] | None:
     = k.  So every later row reduces to zero mod p, and the solved form, hence
     the basis, is the one the full solve ends with, whatever eta is.
     """
-    certified = []
 
-    def certify(basis):
-        lifted = []
-        for vec in basis:
-            x = {u: rational_lift(v, MODULUS) for u, v in vec.items()}
-            if None in x.values():
-                return False
-            lifted.append(x)
-        if not _orthogonal(rows, lifted, Rationals()):
-            return False
-        certified.append(lifted)
-        return True
+    def lift(basis):
+        lifted = [{u: rational_lift(v, MODULUS) for u, v in x.items()} for x in basis]
+        ok = all(None not in x.values() for x in lifted) and _orthogonal(rows, lifted, Rationals())
+        return lifted if ok else None
 
-    if not linalg.nullspace(rows, ncols, PrimeField(MODULUS), certify):
-        return []
-    return certified[0] if certified else None
+    return linalg.nullspace(rows, ncols, PrimeField(MODULUS), lift)
 
 
 def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:
-    """Mutual span containment of two endo families (as coefficient vectors)."""
+    """Whether two bases of endomorphisms (as coefficient vectors) span one space.  Both
+    must be linearly independent, as a nullspace basis is: then one size and one rank decide."""
     v1 = [d.to_vector() for d in basis1]
     v2 = [d.to_vector() for d in basis2]
-    r = rank(v1 + v2, A.field)
-    return rank(v1, A.field) == r == rank(v2, A.field)
+    return len(v1) == len(v2) == rank(v1 + v2, A.field)
 
 
 def vanishing_report(A: MatsuoAlgebra, basis: list[LinearEndo]) -> dict:

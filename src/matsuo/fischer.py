@@ -80,8 +80,8 @@ class FischerSpace:
                     stack.append(y)
         return frozenset(seen)
 
-    def components(self, subset=None) -> list[frozenset]:
-        points = set(range(self.n)) if subset is None else set(subset)
+    def components(self) -> list[frozenset]:
+        points = set(range(self.n))
         out = []
         while points:
             comp = self.component_of(points, next(iter(points)))

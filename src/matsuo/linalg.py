@@ -6,8 +6,8 @@ The eliminator keeps each pivot in solved form: `solved[p]` writes x_p as a
 combination of free columns only, which keeps the solutions short whenever
 the solution space is small.  Rows are fed in the order given, and read at
 most once: the builders order them shortest first to limit fill-in, and may
-stream them.  A solve stops reading at full rank, and `nullspace` with a
-`check` stops at the first checkpoint whose basis the check accepts.
+stream them.  `nullspace` is one loop: it stops reading at full rank, and with
+a `check`, at the first answer the check makes of the basis at a checkpoint.
 
 `Echelon.reduce` is one pass over the row: an entry on a free column is added
 into the residual, an entry on a pivot column adds its coefficient times that
@@ -149,31 +149,23 @@ class Echelon:
         return self.zero.issuperset(row) or not self.reduce(row)
 
 
-def _echelon(rows, field: Field, ncols: int | None = None) -> Echelon:
-    """The solved form of the span of rows, fed in the order given until all `ncols` are pivots."""
+def rank(rows, field: Field) -> int:
     ech = Echelon(field)
     for row in rows:
-        if ech.insert(row) and ech.rank == ncols:
-            break
-    return ech
+        ech.insert(row)
+    return ech.rank
 
 
-def rank(rows, field: Field) -> int:
-    return _echelon(rows, field).rank
-
-
-def nullspace(rows, ncols: int, field: Field, check=None) -> list[dict]:
+def nullspace(rows, ncols: int, field: Field, check=None) -> list[dict] | None:
     """Basis of {x : row . x = 0 for all rows}, as sparse dicts over ncols columns.
 
-    With `check`, the basis of the rows fed so far is offered to `check` at each
-    checkpoint, and the first basis it accepts is returned: the rows are read
-    no further.  A checkpoint follows the first row of each new length when the
-    rows of the length before it added no pivot.  The end of the rows is one
-    too, where the basis is returned whatever `check` says.  A solve that
-    reaches full rank returns [] and calls no check.
+    With `check`, it returns what `check` makes of a basis: an answer, or None to
+    refuse it.  The basis of the rows fed so far is offered at each checkpoint,
+    and the first answer that is not None is returned, the rows read no further.
+    A checkpoint follows the first row of each new length when the rows of the
+    length before it added no pivot.  At the end of the rows `check`'s answer is
+    returned, None included.  A solve that reaches full rank returns [], unchecked.
     """
-    if check is None:
-        return _basis(_echelon(rows, field, ncols), ncols, field)
     ech = Echelon(field)
     length = start = None  # the length of the current class, and the rank before it
     for row in rows:
@@ -185,12 +177,10 @@ def nullspace(rows, ncols: int, field: Field, check=None) -> list[dict]:
         if ech.insert(row) and ech.rank == ncols:
             return []
         del row  # a check streams the rows afresh; hold none of them across it
-        if settled and check(basis := _basis(ech, ncols, field)):
-            return basis
+        if settled and check and (answer := check(_basis(ech, ncols, field))) is not None:
+            return answer
     basis = _basis(ech, ncols, field)
-    if basis:
-        check(basis)
-    return basis
+    return check(basis) if check and basis else basis
 
 
 def _basis(ech: Echelon, ncols: int, field: Field) -> list[dict]:

@@ -145,6 +145,25 @@ def test_system_equivalence(desc, field):
     assert spans_agree(A, leib, rsys)
 
 
+@pytest.mark.parametrize("field", [Q, F7, QS3], ids=["Q", "F7", "Q(sqrt3)"])
+@pytest.mark.parametrize("desc", ["S4", "3W:A2"])
+def test_spans_agree_refuses_other_spans_and_other_sizes(desc, field):
+    """Bases of one size whose spans differ, by one vector swapped for one outside the
+    derivations (the identity, as e_a e_a = e_a), and bases of two sizes, do not agree."""
+    A = _alg(desc, field)
+    leib = derivation_basis(A, system="leibniz")
+    rsys = derivation_basis(A, system="r")
+    identity = LinearEndo(A.dim, [{a: A.field.one_raw()} for a in range(A.dim)])
+    assert not is_derivation(A, identity)
+    for i in range(len(rsys)):
+        swapped = rsys[:i] + [identity] + rsys[i + 1 :]
+        assert spans_agree(A, swapped, swapped)
+        assert not spans_agree(A, leib, swapped) and not spans_agree(A, swapped, leib)
+    for shorter in (leib[1:], leib[:-1], []):
+        assert not spans_agree(A, shorter, rsys) and not spans_agree(A, rsys, shorter)
+    assert spans_agree(A, [], [])
+
+
 @pytest.mark.parametrize(
     "desc,field",
     [
@@ -401,8 +420,7 @@ def _offer(monkeypatch, basis):
             {u: v.numerator * pow(v.denominator, -1, MODULUS) % MODULUS for u, v in x.items()}
             for x in basis
         ]
-        check(residues)
-        return residues
+        return check(residues)
 
     monkeypatch.setattr(linalg, "nullspace", solve)
 
@@ -718,21 +736,22 @@ def test_leibniz_builder_keeps_the_generic_row_list(desc, field):
 @pytest.mark.parametrize("desc", ["W:D4", "M3:3", "W:E6"])
 def test_nullspace_stops_feeding_rows_at_full_rank(monkeypatch, desc):
     """Der = 0 here: once every column is a pivot the rest of the rows are not read,
-    and the solved form is the one the full run ends with."""
+    and the solved form is the one a loop over every row ends with."""
     A = _alg(desc)
     ncols = A.dim * A.dim
     Fp = PrimeField(MODULUS)
     for system in ("leibniz", "r"):
         rows = _rows(A, system)
-        full = linalg._echelon(rows, Fp)
+        full = linalg.Echelon(Fp)
+        for row in rows:
+            full.insert(row)
         assert full.rank == ncols
-        inserts, insert = [], linalg.Echelon.insert
-        monkeypatch.setattr(linalg.Echelon, "insert", lambda *a: inserts.append(a) or insert(*a))
-        early = linalg._echelon(rows, Fp, ncols)
-        monkeypatch.undo()
-        assert early.solved == full.solved
-        assert len(inserts) < len(rows)
+        solver, insert = [], linalg.Echelon.insert
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda *a: solver.append(a[0]) or insert(*a))
         assert linalg.nullspace(rows, ncols, Fp) == []
+        monkeypatch.undo()
+        assert solver[0].solved == full.solved
+        assert len(solver) < len(rows)
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(13)], ids=["Q", "F13"])
@@ -742,13 +761,17 @@ def test_rows_on_forced_zero_columns_are_not_reduced(monkeypatch, field):
     included, are those of a loop that reduces every row."""
     A = _alg("3W:D4", field)
     F = PrimeField(MODULUS) if field == Q else field
-    reduced, rows_in, reduce = [], 0, linalg.Echelon.reduce
+    reduced, rows_in, reduce, insert = [], 0, linalg.Echelon.reduce, linalg.Echelon.insert
     for system in ("leibniz", "r"):
         rows = _rows(A, system)
         rows_in += len(rows)
+        solver = []
         monkeypatch.setattr(linalg.Echelon, "reduce", lambda *a: reduced.append(a) or reduce(*a))
-        ech = linalg._echelon(rows, F, A.dim * A.dim)
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda *a: solver.append(a[0]) or insert(*a))
+        linalg.nullspace(rows, A.dim * A.dim, F)
         monkeypatch.undo()
+        ech = solver[0]
+        assert len(solver) == len(rows)
         ref = linalg.Echelon(F)
         for row in rows:  # the builders order the rows; the kernel feeds them as given
             if ref.reduce(row):

@@ -47,7 +47,8 @@ def test_catalog_spaces_connected(desc):
 def test_commuting_points_are_two_components():
     fs = _space("S4")
     a, b = fs.labels.index("(12)"), fs.labels.index("(34)")
-    assert fs.components({a, b}) == [frozenset({a}), frozenset({b})]
+    assert fs.component_of({a, b}, a) == frozenset({a})
+    assert fs.component_of({a, b}, b) == frozenset({b})
     assert not FischerSpace(2, [[-1, -1], [-1, -1]], ["p", "q"], "none").is_connected()
 
 
@@ -164,7 +165,7 @@ def test_near_solid_plane_homogeneity():
                     types.add(len(closure))
                 else:  # p off the line's component; else the plane axiom fails
                     assert len(closure) == 4, (desc, line, p, len(closure))
-                    assert len(fs.components(closure)) == 2, (desc, line, p)
+                    assert fs.component_of(closure, p) == frozenset({p}), (desc, line, p)
             assert len(types) <= 1, (desc, line, types)
 
 

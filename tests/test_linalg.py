@@ -89,6 +89,59 @@ def test_nullspace_over_prime_field_reads_unreduced_integer_rows(p):
         assert nullspace(rows, ncols, F) == nullspace(coerced, ncols, F)
 
 
+# shortest first on 5 columns: the first row of length 3, that of length 5 and the
+# final row each end a length that added no pivot, so each is a checkpoint, as is the end
+_CHECKPOINTED = [
+    {0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1},  # checkpoint: basis e3, e4
+    {2: 1, 3: 1, 4: 1}, {0: 1, 1: 1, 3: 1, 4: 1}, {0: 2, 1: 1, 2: 1, 3: 1, 4: 1},  # e4 - e3
+    {3: 2, 4: 2},  # e4 - e3 again, at the checkpoint and at the end
+]
+
+
+def _offered(answers, rows=_CHECKPOINTED):
+    """`nullspace` over Q of `rows` with a check that gives `answers` in turn, the
+    bases it was offered, and the number of rows read."""
+    offered, read = [], []
+
+    def check(basis):
+        offered.append(basis)
+        return answers[len(offered) - 1]
+
+    def source():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    return nullspace(source(), 5, Q, check), offered, len(read)
+
+
+def test_nullspace_returns_none_when_the_check_refuses_every_basis():
+    result, offered, read = _offered([None] * 4)
+    assert result is None and read == len(_CHECKPOINTED)
+    assert offered == [[{3: 1}, {4: 1}]] + [[{4: 1, 3: -1}]] * 3
+    assert nullspace(_CHECKPOINTED, 5, Q) == offered[-1]
+
+
+def test_nullspace_returns_the_first_answer_and_reads_no_further():
+    result, offered, read = _offered([None, "second", "third", "end"])
+    assert (result, len(offered), read) == ("second", 2, 7)
+    result, offered, read = _offered([[], "second", "third", "end"])  # [] is an answer too
+    assert (result, len(offered), read) == ([], 1, 4)
+    result, offered, read = _offered([None, None, None, "end"])
+    assert (result, len(offered), read) == ("end", 4, 8)
+
+
+def test_nullspace_at_full_rank_calls_no_check():
+    def check(basis):
+        raise AssertionError("checked at full rank")
+
+    rows = [{c: 1} for c in range(5)] + [{0: 1, 1: 1}]
+    assert nullspace(iter(rows), 5, Q, check) == []
+    # refused at every checkpoint, the solve still ends at full rank with []
+    result, offered, read = _offered([None] * 4, _CHECKPOINTED + [{4: 1}, {0: 1}])
+    assert (result, len(offered), read) == ([], 3, 9)
+
+
 # an integer entry: a small value or any int below 2^64, plus a multiple of p;
 # small value 0 puts a multiple of p on a pivot or a free column
 _int_entry = st.tuples(

@@ -8,15 +8,18 @@ entry in ALLOWED that names the file outside the package that reads it.
 
 A second AST gate fails on any name a test or package module imports and
 never uses; a package module uses each name its `__all__` lists.  A third
-fails on a field of a package `NamedTuple` that no package module reads.
+fails on a field of a package `NamedTuple` that no package module reads, and
+a fourth on a defaulted parameter that no package call passes.
 """
 
 import ast
 import contextlib
 import io
+import math
 import os
 import re
 import sys
+from collections import defaultdict
 from fnmatch import fnmatchcase
 
 import matsuo
@@ -49,6 +52,11 @@ ALLOWED = {
 # `NamedTuple` field -> the file outside the package that reads it
 FIELDS_READ_OUTSIDE = {
     "FieldElement.raw": "bench/traced.py",
+}
+
+# `function.parameter` -> the file outside the package that passes it
+PASSED_OUTSIDE = {
+    "main.argv": "bench/child.py",
 }
 
 
@@ -158,6 +166,79 @@ def test_every_namedtuple_field_is_read():
     for field, reader in FIELDS_READ_OUTSIDE.items():
         with open(os.path.join(ROOT, reader)) as fh:
             assert "." + field.rsplit(".", 1)[1] in fh.read(), f"{reader} never reads {field}"
+
+
+def _defaulted_parameters(trees) -> dict:
+    """`qualified name.parameter` -> (callee name, index among the positional arguments
+    of a call, or None if keyword-only) for each parameter of a package function that has
+    a default.  A call names a method without its `self` or `cls`, and `__init__` by its class."""
+    found = {}
+
+    def walk(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args, name = child.args, child.name
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                callee, qualname = cls if name == "__init__" else name, prefix + name
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(args.defaults):
+                        found[f"{qualname}.{arg.arg}"] = (callee, i)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[f"{qualname}.{arg.arg}"] = (callee, None)
+                walk(child, f"{qualname}.<locals>.", None)
+            else:
+                walk(child, prefix, cls)
+
+    for tree in trees:
+        walk(tree, "", None)
+    return found
+
+
+def _calls(trees) -> dict:
+    """callee name -> (positional argument count, keyword names) of each call in `trees`;
+    a starred argument counts as every position, and `**` as the keyword None."""
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls[name].append((math.inf if starred else len(node.args), keywords))
+    return calls
+
+
+def _passes(calls, qualname, callee, index) -> bool:
+    """Whether some call of `callee` passes the parameter `qualname` names."""
+    param = qualname.rsplit(".", 1)[1]
+    return any(
+        None in keywords or param in keywords or index is not None and index < count
+        for count, keywords in calls[callee]
+    )
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each parameter with a default is passed by some call in the package, by keyword
+    or by position, or PASSED_OUTSIDE names the file outside the package whose calls
+    pass it.  Calls are matched by callee name alone, so the gate is coarse: a parameter
+    passes if any call of a function or method of the same name passes it."""
+    trees = _package_trees().values()
+    params, calls = _defaulted_parameters(trees), _calls(trees)
+    unpassed = [q for q, (callee, index) in params.items() if not _passes(calls, q, callee, index)]
+    missing = sorted(set(unpassed) - set(PASSED_OUTSIDE))
+    assert not missing, f"defaulted parameters no package call passes: {missing}"
+    stale = sorted(set(PASSED_OUTSIDE) - set(unpassed))
+    assert not stale, f"entries that name no parameter, or one the package passes: {stale}"
+    for qualname, caller in PASSED_OUTSIDE.items():
+        with open(os.path.join(ROOT, caller)) as fh:
+            outside = _calls([ast.parse(fh.read(), caller)])
+        assert _passes(outside, qualname, *params[qualname]), f"{caller} never passes {qualname}"
 
 
 def _unused_imports(path: str) -> list[str]:
