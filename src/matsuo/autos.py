@@ -4,10 +4,11 @@ Covers the block model of M(3^n:W) over a field containing sqrt(3), its
 explicit isomorphism, the torus of rotation automorphisms, root-system-induced
 automorphisms, and the character bookkeeping of the torus action.
 
-Every map built here passes `verify_automorphism`, which checks it on every
-basis pair in Python ints: it reads the integer table that each algebra
-caches (`SparseAlgebra.integer_table`), clears only the map's columns, and
-over F_p reduces the difference mod p only where it is compared with zero.
+A map is the list of its column images, and every map built here passes
+`verify_automorphism`, which checks it on every basis pair in Python ints: it
+reads the integer table that each algebra caches (`SparseAlgebra.integer_table`),
+clears only the map's columns, and over F_p reduces the difference mod p only
+where it is compared with zero.
 Both algebras, the Matsuo algebra and model B, are structure-constant tables
 (`SparseAlgebra`), so the check reads the same kind of table for every source
 and target.
@@ -16,9 +17,8 @@ and target.
 from __future__ import annotations
 
 from .algebra import AutosError, BadCharacteristic, IntegerForm, MatsuoAlgebra, SparseAlgebra
-from .deriv import LinearEndo
 from .fields import Field
-from .linalg import rank
+from .linalg import apply, rank
 from .roots import RootSystem
 
 
@@ -121,9 +121,9 @@ class ModelB(SparseAlgebra):
 # -- generic verification ---------------------------------------------------
 
 
-def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
-    """Raise VerificationFailure unless `endo` is multiplicative on all basis
-    pairs of A and bijective onto `target` (A itself when omitted).
+def verify_automorphism(A, images: list[dict], target=None) -> None:
+    """Raise VerificationFailure unless the map with column images `images` is
+    multiplicative on all basis pairs of A and bijective onto `target` (A if omitted).
 
     Multiplicativity is checked in Python ints: with the cached tables of A
     and the target times Ts and Tt (`integer_table`) and the images times S,
@@ -133,8 +133,8 @@ def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
     F = target.field
     ts, src = A.integer_table
     tt, tgt = target.integer_table
-    form = IntegerForm(F, endo.cols)
-    cols = [form.vector(c) for c in endo.cols]
+    form = IntegerForm(F, images)
+    cols = [form.vector(c) for c in images]
 
     def residual(i, j):
         acc = ({}, {})
@@ -146,7 +146,7 @@ def verify_automorphism(A, endo: LinearEndo, target=None) -> None:
     pair = form.failing_pair(A.dim, residual)
     if pair is not None:
         raise VerificationFailure(f"multiplicativity fails on basis pair {pair}")
-    if A.dim != target.dim or rank(endo.cols, F) != A.dim:
+    if A.dim != target.dim or rank(images, F) != A.dim:
         raise VerificationFailure("map is not bijective")
 
 
@@ -174,7 +174,7 @@ def model_b_iso(B: ModelB, M: MatsuoAlgebra) -> list[dict]:
         cols.append({z: two_thirds, p: two_thirds, m: two_thirds})
         cols.append({z: B.sqrt3, p: F.neg(B.sqrt3)})
         cols.append({m: F.coerce(2), z: F.coerce(-1), p: F.coerce(-1)})
-    verify_automorphism(B, LinearEndo(B.dim, cols), M)
+    verify_automorphism(B, cols, M)
     return cols
 
 
@@ -228,7 +228,7 @@ def torus_params_for_roots(B: ModelB, simple_params) -> list:
     return params
 
 
-def torus_automorphism(B: ModelB, simple_params) -> LinearEndo:
+def torus_automorphism(B: ModelB, simple_params) -> list[dict]:
     """The unique automorphism restricting to the given rotations on simple blocks; verified."""
     F = B.field
     params = torus_params_for_roots(B, simple_params)
@@ -240,9 +240,8 @@ def torus_automorphism(B: ModelB, simple_params) -> LinearEndo:
         yi = {x: F.neg(s), y: c}
         cols[x] = {k: v for k, v in xi.items() if not F.is_zero(v)}
         cols[y] = {k: v for k, v in yi.items() if not F.is_zero(v)}
-    endo = LinearEndo(B.dim, cols)
-    verify_automorphism(B, endo)
-    return endo
+    verify_automorphism(B, cols)
+    return cols
 
 
 # -- root-system-induced automorphisms ---------------------------------------
@@ -268,7 +267,7 @@ def _apply_matrix(mat, v):
     return tuple(out)
 
 
-def root_automorphism(M: MatsuoAlgebra, mat) -> LinearEndo:
+def root_automorphism(M: MatsuoAlgebra, mat) -> list[dict]:
     """Automorphism of M(3^n:W) induced by an automorphism of the root system.
 
     `mat` lists the images of the simple roots (in simple-root coordinates).
@@ -299,9 +298,8 @@ def root_automorphism(M: MatsuoAlgebra, mat) -> LinearEndo:
         else:
             target = ((-eps) % 3, tuple(-c for c in image))
         cols[i] = {pt[target]: F.one_raw()}
-    endo = LinearEndo(M.dim, cols)
-    verify_automorphism(M, endo)
-    return endo
+    verify_automorphism(M, cols)
+    return cols
 
 
 # -- torus characters ----------------------------------------------------------
@@ -313,18 +311,18 @@ def character_report(B: ModelB, simple_params) -> dict:
     i_raw = F.sqrt_raw(F.coerce(-1))
     if i_raw is None:
         raise AutosError(f"-1 is not a square in {F}")
-    endo = torus_automorphism(B, simple_params)
+    rho = torus_automorphism(B, simple_params)
     rs = B.rs
     lambdas = []
     for r in range(len(rs.positive_roots)):
         x, y = 3 * r + 1, 3 * r + 2
         # the verified map sends x_r to c x_r + s y_r
-        c, s = endo.cols[x].get(x, F.zero_raw()), endo.cols[x].get(y, F.zero_raw())
+        c, s = rho[x].get(x, F.zero_raw()), rho[x].get(y, F.zero_raw())
         e_vec = {x: F.one_raw(), y: i_raw}
         f_vec = {x: F.one_raw(), y: F.neg(i_raw)}
         lam = F.sub(c, F.mul(i_raw, s))
         for vec, ev in ((e_vec, lam), (f_vec, F.inv(lam))):
-            got = endo.apply(B, vec)
+            got = apply(rho, vec, F)
             want = B.scale(ev, vec)
             if B.sub(got, want):
                 raise VerificationFailure("torus element does not act diagonally")

@@ -136,10 +136,8 @@ def cmd_derive(args) -> tuple[dict, list[dict]]:
         results["systems_agree"] = agree
         passed = agree
     basis = next(iter(bases.values()))
-    results["basis"] = [
-        [[a, b, A.field.format(v)] for a, col in enumerate(d.cols) for b, v in sorted(col.items())]
-        for d in basis
-    ]
+    fmt = A.field.format
+    results["basis"] = [[[u // n, u % n, fmt(v)] for u, v in sorted(x.items())] for x in basis]
     report = vanishing_report(A, basis)
     nonzero = sorted(pair for pair, vanishes in report.items() if not vanishes)
     results["nonvanishing_collinear_pairs"] = len(nonzero)

@@ -3,7 +3,8 @@
 Two routes to the same nullspace: the generic Leibniz linearisation (any
 eta), and the sparse relation system specific to eta = 1/2.  Unknowns are
 the coefficients d(a)_b, indexed column-major as a * dim + b (a the argument
-point, b the image coordinate).
+point, b the image coordinate).  A derivation is its vector {a * dim + b: d(a)_b}
+of these, as the solver returns it; `columns` splits one into the images d(a).
 
 Both builders order their rows shortest first, as the eliminator feeds them,
 and name each unknown by one shared int.  The Leibniz rows are a list; the
@@ -17,7 +18,7 @@ ints, with the solve over Q as the fallback (see `_lifted_basis`).  A row that
 names no unknown of the basis's support has a zero dot product with every
 vector, so of the (R1)-(R7) rows the check generates only those that name the
 support (`r_relations` given `names`).  `satisfies_r_system` runs the same
-check over every field, on the map's support.
+check over every field, on the vector's support.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from . import linalg  # nullspace is looked up per call, so a wrapper set on it later is seen
 from .algebra import BadEta, IntegerForm, MatsuoAlgebra, SparseAlgebra
 from .fields import PrimeField, Rationals, base_field
-from .linalg import axpy, rank, rational_lift
+from .linalg import rank, rational_lift
 
 MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
 # The Leibniz builder makes at most n rows, one per coordinate, for each of the n(n+1)/2
@@ -37,46 +38,25 @@ MODULUS = (1 << 61) - 1  # the prime over which systems over Q are solved
 LEIBNIZ_ROW_CAP = 8_000_000
 
 
-class LinearEndo:
-    """Basis-indexed linear self map; cols[a] = sparse image of basis point a."""
-
-    def __init__(self, dim: int, cols: list[dict]):
-        self.dim = dim
-        self.cols = cols
-
-    @classmethod
-    def from_vector(cls, dim: int, vec: dict) -> "LinearEndo":
-        cols = [{} for _ in range(dim)]
-        for u, v in vec.items():
-            cols[u // dim][u % dim] = v
-        return cls(dim, cols)
-
-    def to_vector(self) -> dict:
-        return {
-            a * self.dim + b: v for a, col in enumerate(self.cols) for b, v in col.items()
-        }
-
-    def apply(self, A, x: dict) -> dict:
-        """The image of x; A is any algebra over the field of the images."""
-        out: dict = {}
-        for a, xa in x.items():
-            axpy(out, xa, self.cols[a], A.field)
-        return out
-
-    def compose(self, A: MatsuoAlgebra, other: "LinearEndo") -> "LinearEndo":
-        """self after other."""
-        return LinearEndo(self.dim, [self.apply(A, col) for col in other.cols])
+def columns(x: dict, n: int) -> list[dict]:
+    """The column images of the map with coefficient vector x: cols[a][b] = x[a * n + b]."""
+    cols = [{} for _ in range(n)]
+    for u, v in x.items():
+        cols[u // n][u % n] = v
+    return cols
 
 
-def is_derivation(A: SparseAlgebra, d: LinearEndo) -> bool:
-    """Whether d(e_i e_j) = d(e_i) e_j + e_i d(e_j) on every basis pair, checked in Python ints.
+def is_derivation(A: SparseAlgebra, x: dict) -> bool:
+    """Whether the map d with coefficient vector x has d(e_i e_j) = d(e_i) e_j + e_i d(e_j)
+    on every basis pair, checked in Python ints.
 
     With the table times T (`A.integer_table`) and the images of d times S, each
     side comes out times T S.
     """
     _, table = A.integer_table
-    form = IntegerForm(A.field, d.cols)
-    cols = [form.vector(c) for c in d.cols]
+    images = columns(x, A.dim)
+    form = IntegerForm(A.field, images)
+    cols = [form.vector(c) for c in images]
 
     def residual(i, j):
         acc = ({}, {})
@@ -284,10 +264,10 @@ def build_r_system(A: MatsuoAlgebra) -> Rows:
     return Rows(A.fs)
 
 
-def satisfies_r_system(A: MatsuoAlgebra, d: LinearEndo) -> bool:
-    """Whether d satisfies (R1)-(R7)."""
+def satisfies_r_system(A: MatsuoAlgebra, x: dict) -> bool:
+    """Whether the coefficient vector x satisfies (R1)-(R7)."""
     require_eta_half(A)
-    return _orthogonal(Rows(A.fs), [d.to_vector()], A.field)
+    return _orthogonal(Rows(A.fs), [x], A.field)
 
 
 def _orthogonal(rows, vectors: list[dict], field) -> bool:
@@ -321,9 +301,10 @@ def _orthogonal(rows, vectors: list[dict], field) -> bool:
     return True
 
 
-def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEndo]:
-    """Nullspace of the Leibniz or the (R1)-(R7) system, as endomorphisms, solved over
-    the prime field k; over k(sqrt d) the basis over k is coerced (see `base_field`)."""
+def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[dict]:
+    """Nullspace of the Leibniz or the (R1)-(R7) system, as coefficient vectors
+    {a * n + b: d(a)_b}, solved over the prime field k; over k(sqrt d) the basis over k
+    is coerced (see `base_field`)."""
     if system not in ("leibniz", "r"):
         raise ValueError(f"unknown system {system!r}")
     rows = build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
@@ -333,7 +314,7 @@ def derivation_basis(A: MatsuoAlgebra, system: str = "leibniz") -> list[LinearEn
         basis = linalg.nullspace(rows, n * n, k)
     if k != F:
         basis = [{u: F.coerce(v) for u, v in x.items()} for x in basis]
-    return [LinearEndo.from_vector(n, x) for x in basis]
+    return basis
 
 
 def _lifted_basis(rows, ncols: int) -> list[dict] | None:
@@ -366,21 +347,19 @@ def _lifted_basis(rows, ncols: int) -> list[dict] | None:
     return linalg.nullspace(rows, ncols, PrimeField(MODULUS), lift)
 
 
-def spans_agree(A: MatsuoAlgebra, basis1, basis2) -> bool:
-    """Whether two bases of endomorphisms (as coefficient vectors) span one space.  Both
-    must be linearly independent, as a nullspace basis is: then one size and one rank decide."""
-    v1 = [d.to_vector() for d in basis1]
-    v2 = [d.to_vector() for d in basis2]
-    return len(v1) == len(v2) == rank(v1 + v2, A.field)
+def spans_agree(A: MatsuoAlgebra, basis1: list[dict], basis2: list[dict]) -> bool:
+    """Whether two bases of coefficient vectors span one space.  Both must be linearly
+    independent, as a nullspace basis is: then one size and one rank decide."""
+    return len(basis1) == len(basis2) == rank(basis1 + basis2, A.field)
 
 
-def vanishing_report(A: MatsuoAlgebra, basis: list[LinearEndo]) -> dict:
+def vanishing_report(A: MatsuoAlgebra, basis: list[dict]) -> dict:
     """For each ordered collinear pair (a, b): is d(a)_b zero across the basis."""
-    F = A.field
+    F, n = A.field, A.dim
     zero = F.zero_raw()
     report = {}
-    for a in range(A.dim):
-        for b in range(A.dim):
+    for a in range(n):
+        for b in range(n):
             if a != b and A.fs.collinear(a, b):
-                report[(a, b)] = all(F.is_zero(d.cols[a].get(b, zero)) for d in basis)
+                report[(a, b)] = all(F.is_zero(x.get(a * n + b, zero)) for x in basis)
     return report

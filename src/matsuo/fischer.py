@@ -80,15 +80,6 @@ class FischerSpace:
                     stack.append(y)
         return frozenset(seen)
 
-    def components(self) -> list[frozenset]:
-        points = set(range(self.n))
-        out = []
-        while points:
-            comp = self.component_of(points, next(iter(points)))
-            out.append(comp)
-            points -= comp
-        return sorted(out, key=lambda c: (len(c), sorted(c)))
-
     def preserves_third(self, sigma: list[int]) -> bool:
         """Whether `sigma` permutes the points with third[sigma i][sigma j] =
         sigma(third[i][j]) for every pair, -1 kept as -1; n^2 lookups."""
@@ -142,7 +133,7 @@ class FischerSpace:
         return self._orbits(self.n, lambda x: [sigma[x] for sigma in maps])
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self.component_of(range(self.n), 0)) == self.n
 
     def _component_type(self, comp: frozenset) -> str:
         """The witness name of a connected closure, read off its size."""

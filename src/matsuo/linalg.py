@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the package's fields.
 
 Rows and vectors are dicts {column: raw field value}, and `axpy` is the one
-routine that adds a multiple of one into another and drops what cancels.
+routine that adds a multiple of one into another and drops what cancels.  A
+linear map is the list of its column images, which `apply` combines.
 The eliminator keeps each pivot in solved form: `solved[p]` writes x_p as a
 combination of free columns only, which keeps the solutions short whenever
 the solution space is small.  Rows are fed in the order given, and read at
@@ -58,6 +59,14 @@ def axpy(dst: dict, c, src: dict, field: Field) -> dict:
         else:
             dst[k] = nv
     return dst
+
+
+def apply(cols: list[dict], x: dict, field: Field) -> dict:
+    """The image of x under the linear map whose column images are `cols`."""
+    out: dict = {}
+    for a, xa in x.items():
+        axpy(out, xa, cols[a], field)
+    return out
 
 
 class Echelon:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from matsuo.algebra import MatsuoAlgebra
+from matsuo.deriv import columns
 from matsuo.fischer import space_of
+from matsuo.linalg import apply
 from matsuo.transpo import parse_group
 
 
@@ -25,3 +27,20 @@ def every_axis_fusion():
         return cache[desc, field]
 
     return fusion
+
+
+@pytest.fixture(scope="session")
+def bracket():
+    """bracket(A, d, e): the coefficient vector of the Lie bracket d∘e − e∘d of two maps
+    of A given by coefficient vectors, composed with `linalg.apply` on their columns."""
+
+    def bracket(A, d, e):
+        n, F = A.dim, A.field
+        dc, ec = columns(d, n), columns(e, n)
+        out = {}
+        for a, (da, ea) in enumerate(zip(dc, ec)):  # column a is d(e(a)) - e(d(a))
+            for b, v in A.sub(apply(dc, ea, F), apply(ec, da, F)).items():
+                out[a * n + b] = v
+        return out
+
+    return bracket

@@ -14,7 +14,6 @@ from matsuo.algebra import BadEta, IntegerForm, MatsuoAlgebra
 from matsuo.cli import EXIT_OK, main
 from matsuo.deriv import (
     MODULUS,
-    LinearEndo,
     build_leibniz_system,
     build_r_system,
     derivation_basis,
@@ -98,10 +97,9 @@ def _rows(A, system):
     return build_leibniz_system(A) if system == "leibniz" else build_r_system(A)
 
 
-def _endos(A, rows):
-    """The nullspace of `rows` over the field of A, solved there, as endomorphisms."""
-    n = A.dim
-    return [LinearEndo.from_vector(n, v) for v in linalg.nullspace(rows, n * n, A.field)]
+def _nullspace(A, rows):
+    """The nullspace of `rows` over the field of A, solved there."""
+    return linalg.nullspace(rows, A.dim * A.dim, A.field)
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -153,7 +151,7 @@ def test_spans_agree_refuses_other_spans_and_other_sizes(desc, field):
     A = _alg(desc, field)
     leib = derivation_basis(A, system="leibniz")
     rsys = derivation_basis(A, system="r")
-    identity = LinearEndo(A.dim, [{a: A.field.one_raw()} for a in range(A.dim)])
+    identity = {a * A.dim + a: A.field.one_raw() for a in range(A.dim)}
     assert not is_derivation(A, identity)
     for i in range(len(rsys)):
         swapped = rsys[:i] + [identity] + rsys[i + 1 :]
@@ -180,41 +178,30 @@ def test_random_maps_satisfy_r_iff_derivation(desc, field):
     # over Q(sqrt:3) a derivation d is mixed in as (1 + sqrt 3) d, and odd trials
     # draw entries v sqrt 3: a mixed map's rational part is then d, its sqrt part not
     unit = F.coerce((1, 1)) if F == QS3 else F.one_raw()
+    n = A.dim
     for trial in range(20):
-        cols = [
-            {
-                b: F.coerce((0, v) if F == QS3 and trial % 2 else v)
-                for b in rng.sample(range(A.dim), min(3, A.dim))
-                if (v := rng.randint(-2, 2))
-            }
-            for _ in range(A.dim)
-        ]
+        d = {
+            a * n + b: F.coerce((0, v) if F == QS3 and trial % 2 else v)
+            for a in range(n)
+            for b in rng.sample(range(n), min(3, n))
+            if (v := rng.randint(-2, 2))
+        }
         if trial % 3 == 0 and basis:
             # mix a genuine derivation in to hit the positive branch too
             d0 = basis[trial % len(basis)]
-            if trial % 6:
-                cols = [axpy(c, unit, d, F) for c, d in zip(cols, d0.cols)]
-            else:
-                cols = [A.scale(unit, d) for d in d0.cols]
-        d = LinearEndo(A.dim, cols)
+            d = axpy(d, unit, d0, F) if trial % 6 else A.scale(unit, d0)
         assert satisfies_r_system(A, d) == is_derivation(A, d)
 
 
 def test_negative_controls():
     A = _alg("S4")
-    ident = LinearEndo(A.dim, [{a: A.field.one_raw()} for a in range(A.dim)])
+    ident = {a * A.dim + a: A.field.one_raw() for a in range(A.dim)}
     assert not is_derivation(A, ident)
     assert not satisfies_r_system(A, ident)
-    assert is_derivation(A, LinearEndo(A.dim, [{} for _ in range(A.dim)]))
+    assert is_derivation(A, {})
 
 
-def _bracket(A, d, e):
-    """The Lie bracket [d, e] = d e - e d, from `LinearEndo.compose`."""
-    de, ed = d.compose(A, e), e.compose(A, d)
-    return LinearEndo(A.dim, [A.sub(x, y) for x, y in zip(de.cols, ed.cols)])
-
-
-def test_basis_members_are_derivations_and_lie_closed():
+def test_basis_members_are_derivations_and_lie_closed(bracket):
     for desc in ("S5", "3W:A3"):
         A = _alg(desc)
         basis = derivation_basis(A, system="r")
@@ -222,7 +209,7 @@ def test_basis_members_are_derivations_and_lie_closed():
             assert is_derivation(A, d)
         for d in basis:
             for e in basis:
-                assert is_derivation(A, _bracket(A, d, e))
+                assert is_derivation(A, bracket(A, d, e))
 
 
 def test_vanishing_matches_near_solid_lines():
@@ -265,7 +252,7 @@ def test_vertical_sum_identity():
                 for a in range(A.dim):
                     if a in line:
                         continue
-                    s = sum((d.cols[a].get(b) or Fraction(0)) for b in line)
+                    s = sum((d.get(a * A.dim + b) or Fraction(0)) for b in line)
                     assert s == 0, (desc, a, line)
 
 
@@ -282,7 +269,7 @@ def test_simple_root_freeness_on_3w():
         for d in basis:
             row = {}
             for i, alpha in enumerate(rs.simple_roots()):
-                v = d.cols[pt[(0, alpha)]].get(pt[(1, alpha)])
+                v = d.get(pt[(0, alpha)] * A.dim + pt[(1, alpha)])
                 if v:
                     row[i] = v
             eval_rows.append(row)
@@ -330,18 +317,14 @@ def test_r7_redundancy_rank_report():
         rows = build_r_system(A)
         without_r7 = [row for row in rows if two not in row.values()]
         assert len(without_r7) < len(rows)
-        dim_full = len(_endos(A, rows))
-        dim_no_r7 = len(_endos(A, without_r7))
+        dim_full = len(_nullspace(A, rows))
+        dim_no_r7 = len(_nullspace(A, without_r7))
         assert dim_full == DIMS[desc]
         assert dim_no_r7 >= dim_full  # dropping constraints can only grow it
 
 
-def _entries(basis):
-    return [d.cols for d in basis]
-
-
 def _exact(A, system):
-    return _endos(A, _rows(A, system))
+    return _nullspace(A, _rows(A, system))
 
 
 @pytest.mark.parametrize("system", ["leibniz", "r"])
@@ -356,7 +339,7 @@ def test_lifted_basis_equals_exact_solve_over_q(desc, system):
     lifted = [{u: rational_lift(v, MODULUS) for u, v in x.items()} for x in full]
     staged = deriv._lifted_basis(rows, ncols)
     assert [list(x.items()) for x in staged] == [list(x.items()) for x in lifted]
-    assert _entries(derivation_basis(A, system)) == _entries(_exact(A, system))
+    assert derivation_basis(A, system) == _exact(A, system)
 
 
 @pytest.mark.parametrize(
@@ -366,7 +349,7 @@ def test_lifted_basis_equals_exact_solve_over_q(desc, system):
 def test_lifted_leibniz_basis_at_other_eta(desc, eta):
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
     assert deriv._lifted_basis(_rows(A, "leibniz"), A.dim * A.dim) is not None
-    assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
+    assert derivation_basis(A, "leibniz") == _exact(A, "leibniz")
 
 
 @pytest.mark.parametrize("eta", [Fraction(2**61), Fraction(1, MODULUS)])
@@ -375,7 +358,7 @@ def test_lift_is_certified_at_eta_without_image_mod_p(desc, eta):
     # 2^61 is 1 mod p, and p divides the denominator of 1/p
     A = MatsuoAlgebra(space_of(parse_group(desc)), eta, Q)
     assert deriv._lifted_basis(_rows(A, "leibniz"), A.dim * A.dim) == []
-    assert _entries(derivation_basis(A, "leibniz")) == _entries(_exact(A, "leibniz"))
+    assert derivation_basis(A, "leibniz") == _exact(A, "leibniz")
 
 
 def _one_wrong_entry(rows, vectors, field, orthogonal=deriv._orthogonal):
@@ -409,7 +392,7 @@ def test_failed_lift_or_certificate_falls_back(monkeypatch, system, name, patch)
     exact = _exact(A, system)
     monkeypatch.setattr(deriv, name, patch)
     assert deriv._lifted_basis(_rows(A, system), A.dim * A.dim) is None
-    assert _entries(derivation_basis(A, system)) == _entries(exact)
+    assert derivation_basis(A, system) == exact
 
 
 def _offer(monkeypatch, basis):
@@ -782,12 +765,19 @@ def test_rows_on_forced_zero_columns_are_not_reduced(monkeypatch, field):
 
 
 @pytest.mark.parametrize("system", ["leibniz", "r"])
-@pytest.mark.parametrize("field", [QS3, F7S3], ids=["Q(sqrt3)", "F7(sqrt3)"])
+@pytest.mark.parametrize(
+    "field", [Q, PrimeField(13), QS3, F7S3], ids=["Q", "F13", "Q(sqrt3)", "F7(sqrt3)"]
+)
 @pytest.mark.parametrize("desc", ["S4", "3W:A2", "M3:2"])
 def test_basis_over_an_extension_is_the_base_basis_coerced(desc, field, system):
-    k_basis = derivation_basis(_alg(desc, field.base), system)
-    coerced = [[{b: field.coerce(v) for b, v in col.items()} for col in d.cols] for d in k_basis]
-    assert _entries(derivation_basis(_alg(desc, field), system)) == coerced
+    """The basis is the solver's vectors as they come out, keys in order: over Q the
+    certified lift, over F_p the nullspace, over k(sqrt d) the basis over k coerced."""
+    k = base_field(field)
+    A = _alg(desc, k)
+    rows, ncols = _rows(A, system), A.dim * A.dim
+    solved = deriv._lifted_basis(rows, ncols) if k == Q else linalg.nullspace(rows, ncols, k)
+    coerced = [[(u, field.coerce(v)) for u, v in x.items()] for x in solved]
+    assert [list(x.items()) for x in derivation_basis(_alg(desc, field), system)] == coerced
 
 
 @pytest.mark.parametrize("field", ["Q(sqrt:3)", "F13(sqrt:2)"])
@@ -830,6 +820,6 @@ def test_is_derivation_reads_the_integer_table_of_the_algebra(monkeypatch):
     monkeypatch.setattr(IntegerForm, "vector", lambda form, x: cleared.append(x) or vector(form, x))
     for d in basis:
         assert is_derivation(A, d)
-    assert not is_derivation(A, LinearEndo(A.dim, [{a: 1} for a in range(A.dim)]))
+    assert not is_derivation(A, {a * A.dim + a: 1 for a in range(A.dim)})
     assert len(cleared) == (len(basis) + 1) * A.dim
     assert A.integer_table is table
